@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error, 2 non-convergence (report still written),
-3 derivative-check failure.
+Exit codes: 0 success, 1 input error, 2 non-convergence (trajectory and report
+written) or a failed inner solve (nothing written), 3 derivative-check failure.
 """
 
 from __future__ import annotations
@@ -31,11 +31,16 @@ def _load_scene_file(path: str, overrides: list[str]) -> Scene:
         if "=" not in item:
             raise SceneError(f"override {item!r} must look like section.key=value")
         key, raw = item.split("=", 1)
-        parts = key.split(".")
+        *path, last = key.split(".")
         node = doc
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = json.loads(raw)
+        for part in path:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise SceneError(f"override {key!r}: {'.'.join(path) or 'the scene'} is not an object")
+        try:
+            node[last] = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise SceneError(f"override {key!r}: {raw!r} is not a JSON value") from exc
     return scene_from_dict(doc)
 
 
@@ -43,10 +48,10 @@ def _step_clearances(scene: Scene, states) -> list[float]:
     """Narrow-phase clearance per step over broad-phase survivors (inf if none)."""
     refs = scene.primitive_refs()
     out = []
-    for i in range(len(states)):
-        world, _ = _place_step(scene, states[i])
+    for row in states:
+        world, _ = _place_step(scene, row)
         best = math.inf
-        for a, b in broad_phase_rows(scene, states, i, 1.0):
+        for a, b in broad_phase_rows(scene, world, 1.0):
             res = solve_inner((world[a], world[b]), scene.inner)
             best = min(best, math.sqrt(res.d_sq) - refs[a].margin - refs[b].margin)
         out.append(best)
@@ -72,8 +77,6 @@ def cmd_plan(args) -> int:
     with open(args.output, "w") as f:
         f.write(text)
     run_report = {
-        "seed": args.seed,
-        "threads": args.threads,
         "converged": report.converged,
         "reason": report.reason,
         "iterations": report.num_iterations,
@@ -177,35 +180,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="accepted for interface compatibility; execution is serial")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a scene entry, e.g. weights.smoothness=0.2")
-
     p_plan = sub.add_parser("plan", help="solve a scene and export the trajectory")
     p_plan.add_argument("scene")
     p_plan.add_argument("-o", "--output", required=True)
     p_plan.add_argument("--format", choices=["csv", "json"], default="csv")
-    common(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_dist = sub.add_parser("distance", help="distance query between two primitives")
     p_dist.add_argument("scene")
     p_dist.add_argument("--pair", required=True, metavar="A:B")
     p_dist.add_argument("--machine", action="store_true", help="emit JSON")
-    common(p_dist)
     p_dist.set_defaults(func=cmd_distance)
 
     p_grad = sub.add_parser("gradcheck", help="audit analytic derivatives against finite differences")
     p_grad.add_argument("scene")
     p_grad.add_argument("--tol", type=float, default=1e-3)
-    common(p_grad)
+    p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=cmd_gradcheck)
+
+    for p in (p_plan, p_dist, p_grad):
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a scene entry, e.g. weights.smoothness=0.2")
 
     p_bench = sub.add_parser("bench", help="benchmarks (CSV on stdout)")
     p_bench.add_argument("mode", choices=["pairs", "approx"])
     p_bench.add_argument("--reps", type=int, default=1000)
-    common(p_bench)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

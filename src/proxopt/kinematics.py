@@ -40,6 +40,8 @@ class Joint:
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(axis)
+        if axis.shape != (3,) or not np.isfinite(norm) or norm == 0.0:
+            raise ValueError(f"joint axis must be a nonzero finite 3-vector, got {axis.tolist()}")
         if abs(norm - 1.0) > 1e-12:
             axis = axis / norm
         object.__setattr__(self, "axis", axis)

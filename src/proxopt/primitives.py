@@ -38,7 +38,10 @@ class Primitive:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        anchor = np.asarray(self.anchor, dtype=float)
+        if anchor.shape != (3,):
+            raise ValueError(f"anchor must have 3 entries, got shape {anchor.shape}")
+        object.__setattr__(self, "anchor", anchor)
         vectors = np.asarray(self.vectors, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "vectors", vectors)
         expected = VECTOR_COUNT[self.kind]

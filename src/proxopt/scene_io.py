@@ -86,36 +86,36 @@ def _parse_primitive(obj, attachment, context: str) -> Primitive:
 def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
     _require(isinstance(obj, dict) and "name" in obj, f"{context}: robot needs a name")
     name = obj["name"]
-    joints = []
-    for k, jobj in enumerate(obj.get("joints", [])):
-        ctx = f"robot {name!r} joint {k}"
-        _require("axis" in jobj, f"{ctx}: missing axis")
-        parent = int(jobj.get("parent", k))
-        _require(0 <= parent <= k, f"{ctx}: parent {parent} is not an earlier link")
-        joints.append(
-            Joint(
-                parent=parent,
-                offset=_parse_pose(jobj.get("offset"), ctx),
-                axis=np.asarray(jobj["axis"], dtype=float),
-                limits=_parse_limits(jobj.get("limits"), ctx),
-            )
-        )
-    base_limits_obj = obj.get("base_limits")
-    if base_limits_obj is None:
-        base_limits = (None,) * 6
-    elif isinstance(base_limits_obj, list):
-        _require(len(base_limits_obj) == 6, f"robot {name!r}: base_limits list must have 6 entries")
-        base_limits = tuple(_parse_limits(b, f"robot {name!r} base_limits") for b in base_limits_obj)
-    else:
-        shared = _parse_limits(base_limits_obj, f"robot {name!r} base_limits")
-        base_limits = (shared,) * 6
-    primitives = []
-    for k, pobj in enumerate(obj.get("primitives", [])):
-        ctx = f"robot {name!r} primitive {k}"
-        link = int(pobj.get("link", 0))
-        _require(0 <= link <= len(joints), f"{ctx}: unknown link {link}")
-        primitives.append(_parse_primitive(pobj, link, ctx))
     try:
+        joints = []
+        for k, jobj in enumerate(obj.get("joints", [])):
+            ctx = f"joint {k}"
+            _require("axis" in jobj, f"{ctx}: missing axis")
+            parent = int(jobj.get("parent", k))
+            _require(0 <= parent <= k, f"{ctx}: parent {parent} is not an earlier link")
+            joints.append(
+                Joint(
+                    parent=parent,
+                    offset=_parse_pose(jobj.get("offset"), ctx),
+                    axis=np.asarray(jobj["axis"], dtype=float),
+                    limits=_parse_limits(jobj.get("limits"), ctx),
+                )
+            )
+        base_limits_obj = obj.get("base_limits")
+        if base_limits_obj is None:
+            base_limits = (None,) * 6
+        elif isinstance(base_limits_obj, list):
+            _require(len(base_limits_obj) == 6, "base_limits list must have 6 entries")
+            base_limits = tuple(_parse_limits(b, "base_limits") for b in base_limits_obj)
+        else:
+            shared = _parse_limits(base_limits_obj, "base_limits")
+            base_limits = (shared,) * 6
+        primitives = []
+        for k, pobj in enumerate(obj.get("primitives", [])):
+            ctx = f"primitive {k}"
+            link = int(pobj.get("link", 0))
+            _require(0 <= link <= len(joints), f"{ctx}: unknown link {link}")
+            primitives.append(_parse_primitive(pobj, link, ctx))
         model = RobotModel(name=name, joints=tuple(joints), base_limits=base_limits, primitives=tuple(primitives))
     except ValueError as exc:
         raise SceneError(f"robot {name!r}: {exc}") from exc

@@ -155,20 +155,9 @@ class Scene:
                 raise ValueError(f"ee target references unknown robot {tgt.robot}")
             if not (0 <= tgt.link <= self.robots[tgt.robot].n):
                 raise ValueError(f"ee target references unknown link {tgt.link}")
-
-    @property
-    def robot_offsets(self) -> list[int]:
-        offsets, total = [], 0
-        for robot in self.robots:
-            offsets.append(total)
-            total += robot.dim
-        return offsets
-
-    @property
-    def dim_total(self) -> int:
-        return sum(robot.dim for robot in self.robots)
-
-    def primitive_refs(self) -> list[PrimitiveRef]:
+        # Nothing changes the robots or obstacles of a built scene, so the
+        # offsets, refs and candidate pairs are computed once, here.
+        self._robot_offsets = [sum(r.dim for r in self.robots[:k]) for k in range(len(self.robots))]
         refs = []
         for r, robot in enumerate(self.robots):
             for k, prim in enumerate(robot.primitives):
@@ -176,11 +165,7 @@ class Scene:
                 refs.append(PrimitiveRef(r, k, name, int(prim.attachment), prim.margin))
         for k, obs in enumerate(self.obstacles):
             refs.append(PrimitiveRef(None, k, obs.name or f"obstacle{k}", None, obs.world.margin))
-        return refs
-
-    def candidate_pairs(self) -> list[tuple[int, int]]:
-        """All primitive pairs except same/adjacent links and obstacle-obstacle."""
-        refs = self.primitive_refs()
+        self._refs = tuple(refs)
         pairs = []
         for i in range(len(refs)):
             for j in range(i + 1, len(refs)):
@@ -197,7 +182,22 @@ class Scene:
                     ):
                         continue
                 pairs.append((i, j))
-        return pairs
+        self._pairs = tuple(pairs)
+
+    @property
+    def robot_offsets(self) -> list[int]:
+        return self._robot_offsets
+
+    @property
+    def dim_total(self) -> int:
+        return sum(robot.dim for robot in self.robots)
+
+    def primitive_refs(self) -> tuple[PrimitiveRef, ...]:
+        return self._refs
+
+    def candidate_pairs(self) -> tuple[tuple[int, int], ...]:
+        """All primitive pairs except same/adjacent links and obstacle-obstacle."""
+        return self._pairs
 
     def robot_state(self, x_row: np.ndarray, robot: int) -> RobotState:
         off = self.robot_offsets[robot]
@@ -209,18 +209,15 @@ class Scene:
 
 def _place_step(scene: Scene, x_row: np.ndarray):
     """World primitives for every ref at one step, plus per-robot frames."""
-    frames = []
-    for r, robot in enumerate(scene.robots):
-        frames.append(link_frames(robot, scene.robot_state(x_row, r)))
+    states = [scene.robot_state(x_row, r) for r in range(len(scene.robots))]
+    frames = [link_frames(robot, state) for robot, state in zip(scene.robots, states)]
     world = []
     for ref in scene.primitive_refs():
         if ref.owner is None:
             world.append(scene.obstacles[ref.index].world)
         else:
             robot = scene.robots[ref.owner]
-            world.append(
-                place_on_robot(robot, scene.robot_state(x_row, ref.owner), robot.primitives[ref.index], frames[ref.owner])
-            )
+            world.append(place_on_robot(robot, states[ref.owner], robot.primitives[ref.index], frames[ref.owner]))
     return world, frames
 
 
@@ -236,7 +233,8 @@ def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: in
 
 def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list[tuple[int, int]]:
     """Pairs whose bounding spheres are within `slack` of touching at a 1-based step."""
-    return broad_phase_rows(scene, traj.states, step - 1, slack)
+    world, _ = _place_step(scene, traj.states[step - 1])
+    return broad_phase_rows(scene, world, slack)
 
 
 def _bound_penalty(v: float, lo: Optional[float], hi: Optional[float]):
@@ -287,7 +285,7 @@ def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
     return value
 
 
-def _goal_terms(scene: Scene, states, acc: _Accumulator) -> float:
+def _goal_terms(scene: Scene, states, placed, acc: _Accumulator) -> float:
     value = 0.0
     offsets = scene.robot_offsets
     for tgt in scene.objectives.state_targets:
@@ -307,7 +305,7 @@ def _goal_terms(scene: Scene, states, acc: _Accumulator) -> float:
         off = offsets[tgt.robot]
         i = tgt.step - 1
         state = scene.robot_state(states[i], tgt.robot)
-        frames = link_frames(robot, state)
+        frames = placed[i][1][tgt.robot]
         p = frames.origins[tgt.link] + frames.rotations[tgt.link] @ tgt.local
         e = p - tgt.target
         value += tgt.weight * float(e @ e)
@@ -366,6 +364,7 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
 def _collision_penalty(
     scene: Scene,
     states,
+    placed,
     active: list[list[tuple[int, int]]],
     warm: dict,
     acc: _Accumulator,
@@ -384,7 +383,7 @@ def _collision_penalty(
     for i, pairs in enumerate(active):
         if not pairs:
             continue
-        world, frames = _place_step(scene, states[i])
+        world, frames = placed[i]
         for key in pairs:
             a, b = key
             pair = (world[a], world[b])
@@ -425,7 +424,8 @@ def smoothness_term(traj: Trajectory, w_smooth: float):
 
 def goal_terms(traj: Trajectory, scene: Scene):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value = _goal_terms(scene, traj.states, acc)
+    placed = [_place_step(scene, row) for row in traj.states]
+    value = _goal_terms(scene, traj.states, placed, acc)
     return value, acc.grad.ravel(), acc.hess
 
 
@@ -442,7 +442,8 @@ def collision_penalty(
     warm: Optional[dict] = None,
 ):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value, _, _, _ = _collision_penalty(scene, traj.states, active, warm or {}, acc)
+    placed = [_place_step(scene, row) for row in traj.states]
+    value, _, _, _ = _collision_penalty(scene, traj.states, placed, active, warm or {}, acc)
     return value, acc.grad.ravel(), acc.hess
 
 
@@ -454,13 +455,14 @@ def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float):
     positive clearance and zero penalty. Freezing the pair set across a line
     search would make candidate values incomparable and can cycle.
     """
-    active = [broad_phase_rows(scene, states, i, slack) for i in range(len(states))]
+    placed = [_place_step(scene, row) for row in states]
+    active = [broad_phase_rows(scene, world, slack) for world, _ in placed]
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, acc)
+    value += _goal_terms(scene, states, placed, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
-    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, active, warm, acc)
+    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, placed, active, warm, acc)
     value += col_value
     return value, acc, new_warm, min_clear, max(max_viol, lim_worst), active
 
@@ -634,9 +636,8 @@ def solve(
     return Trajectory(states, scene.h), SolveReport(history, converged, reason, final_value, final_clear)
 
 
-def broad_phase_rows(scene: Scene, states, row: int, slack: float) -> list[tuple[int, int]]:
-    """broad_phase on a raw state matrix with a 0-based row index."""
-    world, _ = _place_step(scene, states[row])
+def broad_phase_rows(scene: Scene, world: list[WorldPrimitive], slack: float) -> list[tuple[int, int]]:
+    """broad_phase on one step's placed primitives (the world list of _place_step)."""
     bounds = [bounding_center_radius(w) for w in world]
     kept = []
     for i, j in scene.candidate_pairs():

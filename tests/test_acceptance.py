@@ -345,12 +345,17 @@ def test_criterion_7_arm_iteration_count():
 
 
 def test_criterion_8_approximation_benchmark():
-    rows = bench_approx(seed=0, counts=[1, 2, 4, 8, 12], iters=6)
-    by_key = {(r["approximation"], r["count"]): r for r in rows}
+    runs = [
+        {(r["approximation"], r["count"]): r for r in bench_approx(seed=0, counts=[1, 2, 4, 8, 12], iters=6)}
+        for _ in range(3)
+    ]
+    by_key = runs[0]
     box_err = by_key[("box", 1)]["hausdorff"]
     sphere8_err = by_key[("spheres", 8)]["hausdorff"]
-    # time per iteration over a coarse pair-count ladder (big gaps beat timer noise)
-    times = [by_key[("spheres", k)]["time_per_iteration_s"] for k in (1, 4, 12)]
+    # time per iteration over a coarse pair-count ladder (big gaps beat timer
+    # noise); each count's fastest of three runs, since one ~0.1 s solve moves
+    # with the host's speed
+    times = [min(run[("spheres", k)]["time_per_iteration_s"] for run in runs) for k in (1, 4, 12)]
     monotone = times[0] < times[1] < times[2]
     ok = box_err < sphere8_err and monotone
     _line(

@@ -47,11 +47,13 @@ def test_plan_structured_output(tmp_path):
     assert doc["robots"] == ["ball"] and doc["steps"] == 10
 
 
-def test_plan_input_errors(tmp_path):
+def test_plan_input_errors(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     assert main(["plan", _scene_path("malformed"), "-o", out]) == 1
     assert main(["plan", str(tmp_path / "missing.json"), "-o", out]) == 1
-    assert main(["plan", _scene_path("minimal"), "-o", out, "--set", "bogus"]) == 1
+    for bad in ("bogus", "weights.smoothness=abc", "horizon.steps.x=1"):
+        assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
+        assert bad.split("=")[0] in capsys.readouterr().err
 
 
 def test_plan_nonconvergence_exit_code(tmp_path):

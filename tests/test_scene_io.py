@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from proxopt.kinematics import Joint
+from proxopt.poses import Pose
+from proxopt.primitives import Kind, Primitive
 from proxopt.scene_io import (
     SceneError,
     export_trajectory,
@@ -97,6 +101,30 @@ def test_box_requires_three_vectors():
         "margin": 0.1,
     }
     with pytest.raises(SceneError):
+        scene_from_dict(doc)
+
+
+def test_joint_rejects_zero_or_non_finite_axis():
+    for axis in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="joint axis"):
+            Joint(parent=0, offset=Pose(), axis=axis)
+
+
+def test_primitive_rejects_bad_anchor_shape():
+    for anchor in ([0.0, 0.0], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="anchor must have 3 entries"):
+            Primitive(Kind.SPHERE, anchor, margin=0.1)
+    doc = json.loads(scene_text("minimal"))
+    doc["robots"][0]["primitives"][0]["p"] = [0.0, 0.0]
+    with pytest.raises(SceneError, match="anchor must have 3 entries"):
+        scene_from_dict(doc)
+
+
+def test_loader_rejects_zero_joint_axis():
+    doc = json.loads(scene_text("arm7_box"))
+    name = doc["robots"][0]["name"]
+    doc["robots"][0]["joints"][2]["axis"] = [0, 0, 0]
+    with pytest.raises(SceneError, match=f"robot '{name}': joint axis"):
         scene_from_dict(doc)
 
 

@@ -7,6 +7,7 @@ from proxopt.distance import brute_force_distance
 from proxopt.kinematics import Joint, LimitSpec, RobotModel, RobotState
 from proxopt.poses import Pose
 from proxopt.primitives import Kind, Primitive, place
+from proxopt import trajopt
 from proxopt.scene_io import load_scene
 from proxopt.trajopt import (
     Objectives,
@@ -16,6 +17,8 @@ from proxopt.trajopt import (
     StateTarget,
     EETarget,
     Trajectory,
+    _evaluate,
+    _place_step,
     broad_phase,
     broad_phase_rows,
     collision_penalty,
@@ -190,7 +193,8 @@ def test_broad_phase_is_conservative():
             )
             states.append(RobotState(Pose(rng.uniform(-1.2, 1.2, 3), rng.uniform(-np.pi, np.pi, 3))))
         scene = Scene(robots=prims, initial_states=states)
-        kept = broad_phase_rows(scene, scene.initial_row()[None, :], 0, slack)
+        world, _ = _place_step(scene, scene.initial_row())
+        kept = broad_phase_rows(scene, world, slack)
         if not kept:
             world = [
                 place(r.primitives[0], s.base) for r, s in zip(prims, states)
@@ -199,6 +203,26 @@ def test_broad_phase_is_conservative():
             margins = prims[0].primitives[0].margin + prims[1].primitives[0].margin
             clearance = math.sqrt(d_sq) - margins
             assert clearance >= slack / 2
+
+
+def test_evaluate_places_each_step_once(monkeypatch):
+    # the broad phase, the collision term and the end-effector target share one
+    # placement per step, and the scene's pair lists are built once
+    scene = load_scene(scene_text("arm7_box"))
+    calls = []
+    original = trajopt.link_frames
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trajopt, "link_frames", counted)
+    states = default_trajectory(scene).states
+    _, _, _, _, _, active = _evaluate(scene, states, {}, True, scene.outer.broad_phase_slack)
+    assert any(active)  # the collision term has pairs to solve
+    assert len(calls) == scene.num_steps * len(scene.robots) == 160
+    assert scene.primitive_refs() is scene.primitive_refs()
+    assert scene.candidate_pairs() is scene.candidate_pairs()
 
 
 def test_collision_penalty_separated_pairs():
