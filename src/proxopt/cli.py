@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
 from .distance import solve_inner
 from .scene_io import SceneError, export_trajectory, scene_from_dict
-from .trajopt import Scene, SolveError, broad_phase_rows, solve, _place_step
+from .trajopt import Scene, SolveError, _place_step, solve, validate
 
 
 def _load_scene_file(path: str, overrides: list[str]) -> Scene:
@@ -44,20 +44,6 @@ def _load_scene_file(path: str, overrides: list[str]) -> Scene:
     return scene_from_dict(doc)
 
 
-def _step_clearances(scene: Scene, states) -> list[float]:
-    """Narrow-phase clearance per step over broad-phase survivors (inf if none)."""
-    refs = scene.primitive_refs()
-    out = []
-    for row in states:
-        world, _ = _place_step(scene, row)
-        best = math.inf
-        for a, b in broad_phase_rows(scene, world, 1.0):
-            res = solve_inner((world[a], world[b]), scene.inner)
-            best = min(best, math.sqrt(res.d_sq) - refs[a].margin - refs[b].margin)
-        out.append(best)
-    return out
-
-
 def cmd_plan(args) -> int:
     try:
         scene = _load_scene_file(args.scene, args.set or [])
@@ -70,7 +56,7 @@ def cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    clearances = _step_clearances(scene, traj.states)
+    clearances = validate(scene, traj).min_clearance_per_step
     text = export_trajectory(
         traj, scene, "csv" if args.format == "csv" else "structured", clearances=clearances
     )

@@ -5,7 +5,8 @@ of ||P_a(t_a) - P_b(t_b)||^2, subject to 0 <= t <= 1. The box constraints are
 softened with one-sided quadratic barriers and a small centering regularizer
 ||t - 0.5||^2 keeps the problem strongly convex (parallel capsules and friends
 stay well-conditioned). The resulting unconstrained problem is solved with
-Newton's method.
+Newton's method. certified_distance turns one such solve into certified lower
+and upper bounds on the hard squared distance.
 """
 
 from __future__ import annotations
@@ -311,6 +312,62 @@ def solve_inner(
         newton_steps=steps,
         converged=converged,
     )
+
+
+def certified_distance(
+    pair: tuple[WorldPrimitive, WorldPrimitive],
+    settings: InnerSettings = DEFAULT_INNER,
+) -> tuple[float, float]:
+    """Certified bounds (lower_sq, upper_sq) on the hard box-constrained squared distance.
+
+    The soft minimizer of solve_inner (cold) is clipped into [0, 1]^L and
+    polished by primal active-set steps on f(t) = ||b + J t||^2 over the box:
+    least squares on the free coordinates, a ratio test that fixes the first
+    coordinate to reach a bound, and release of the fixed coordinate whose
+    multiplier has the wrong sign until the KKT conditions hold. At the
+    resulting feasible t, upper_sq = f(t), and the Frank-Wolfe duality gap
+    min_{s in [0,1]^L} g.(s - t), with g = grad f(t), gives by convexity
+    lower_sq = f(t) + sum_l min(g_l, 0) - g.t <= min f. The bounds hold for any
+    feasible t, so they are valid even when the inner solve does not converge.
+    """
+    a, b = pair
+    jt = np.concatenate([a.vectors, -b.vectors], axis=0).T  # (3, L): columns +v_a, -v_b
+    base = a.anchor - b.anchor
+    dim = jt.shape[1]
+    if dim == 0:
+        d_sq = float(base @ base)
+        return d_sq, d_sq
+
+    t = np.clip(solve_inner(pair, settings).t_star, 0.0, 1.0)
+    fixed = (t == 0.0) | (t == 1.0)
+    for _ in range(dim + 2):
+        free = ~fixed
+        if free.any():
+            step = np.linalg.lstsq(jt[:, free], -(base + jt @ t), rcond=None)[0]
+            t_free = t[free]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step > 0.0, (1.0 - t_free) / step, np.where(step < 0.0, -t_free / step, np.inf))
+            block = int(np.argmin(room))
+            if room[block] < 1.0:
+                t_free += room[block] * step
+                t_free[block] = 1.0 if step[block] > 0.0 else 0.0
+                t[free] = np.clip(t_free, 0.0, 1.0)
+                fixed[np.flatnonzero(free)[block]] = True
+                continue
+            t[free] = np.clip(t_free + step, 0.0, 1.0)
+        grad = 2.0 * ((base + jt @ t) @ jt)
+        # A coordinate fixed at 0 (1) may leave its bound if the gradient is negative (positive).
+        wrong_sign = np.where(fixed, np.where(t == 0.0, -grad, grad), 0.0)
+        release = int(np.argmax(wrong_sign))
+        if wrong_sign[release] <= 0.0:
+            break
+        fixed[release] = False
+
+    r = base + jt @ t
+    grad = 2.0 * (r @ jt)
+    upper_sq = float(r @ r)
+    lower_sq = upper_sq + float(np.minimum(grad, 0.0).sum()) - float(grad @ t)
+    return max(0.0, lower_sq), upper_sq
 
 
 def _grid_points(prim: WorldPrimitive, lo: np.ndarray, hi: np.ndarray, resolution: int):

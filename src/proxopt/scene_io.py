@@ -39,6 +39,20 @@ def _require(cond: bool, message: str):
         raise SceneError(message)
 
 
+def _section(obj: dict, key: str, default, where: str = ""):
+    """obj[key], or `default` if absent; it must have the JSON type of `default`."""
+    value = obj.get(key, default)
+    kind = "an object" if isinstance(default, dict) else "a list"
+    _require(isinstance(value, type(default)), f"{where}{key} must be {kind}")
+    return value
+
+
+def _field(obj: dict, key: str, context: str):
+    """A required entry of a target object."""
+    _require(key in obj, f"{context}: missing {key!r}")
+    return obj[key]
+
+
 def _parse_pose(obj, context: str) -> Pose:
     if obj is None:
         return Pose.identity()
@@ -140,7 +154,7 @@ def scene_from_dict(doc) -> Scene:
 
     robots, states = [], []
     names = {}
-    for k, robj in enumerate(doc.get("robots", [])):
+    for k, robj in enumerate(_section(doc, "robots", [])):
         model, state = _parse_robot(robj, f"robots[{k}]")
         _require(model.name not in names, f"duplicate robot name {model.name!r}")
         names[model.name] = k
@@ -148,18 +162,18 @@ def scene_from_dict(doc) -> Scene:
         states.append(state)
 
     obstacles = []
-    for k, oobj in enumerate(doc.get("obstacles", [])):
+    for k, oobj in enumerate(_section(doc, "obstacles", [])):
         ctx = f"obstacles[{k}]"
         prim = _parse_primitive(oobj, "world", ctx)
         pose = _parse_pose(oobj.get("pose"), ctx)
         obstacles.append(Obstacle(oobj.get("name", f"obstacle{k}"), place(prim, pose)))
 
-    horizon = doc.get("horizon", {})
+    horizon = _section(doc, "horizon", {})
     num_steps = int(horizon.get("steps", 1))
     h = float(horizon.get("h", 0.1))
     _require(num_steps >= 1 and h > 0, "horizon requires steps >= 1 and h > 0")
 
-    weights = doc.get("weights", {})
+    weights = _section(doc, "weights", {})
     objectives = Objectives(
         w_smooth=float(weights.get("smoothness", 0.1)),
         w_collision=float(weights.get("collision", 1e3)),
@@ -173,27 +187,29 @@ def scene_from_dict(doc) -> Scene:
         _require(ref in names, f"{ctx}: unknown robot {ref!r}")
         return names[ref]
 
-    objs = doc.get("objectives", {})
-    for k, tobj in enumerate(objs.get("state_targets", [])):
-        ctx = f"state_targets[{k}]"
+    objs = _section(doc, "objectives", {})
+    for k, tobj in enumerate(_section(objs, "state_targets", [], "objectives.")):
+        ctx = f"objectives.state_targets[{k}]"
+        _require(isinstance(tobj, dict), f"{ctx}: must be an object")
         r = robot_index(tobj.get("robot"), ctx)
-        value = np.asarray(tobj["value"], dtype=float)
+        value = np.asarray(_field(tobj, "value", ctx), dtype=float)
         _require(value.shape == (robots[r].dim,), f"{ctx}: value must have {robots[r].dim} entries")
-        step = int(tobj["step"])
+        step = int(_field(tobj, "step", ctx))
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
         objectives.state_targets.append(StateTarget(step, r, value, float(tobj.get("weight", 1.0))))
-    for k, tobj in enumerate(objs.get("ee_targets", [])):
-        ctx = f"ee_targets[{k}]"
+    for k, tobj in enumerate(_section(objs, "ee_targets", [], "objectives.")):
+        ctx = f"objectives.ee_targets[{k}]"
+        _require(isinstance(tobj, dict), f"{ctx}: must be an object")
         r = robot_index(tobj.get("robot"), ctx)
-        link = int(tobj["link"])
+        link = int(_field(tobj, "link", ctx))
         _require(0 <= link <= robots[r].n, f"{ctx}: unknown link {link}")
-        step = int(tobj["step"])
+        step = int(_field(tobj, "step", ctx))
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
         objectives.ee_targets.append(
-            EETarget(step, r, link, tobj.get("local", [0, 0, 0]), tobj["target"], float(tobj.get("weight", 1.0)))
+            EETarget(step, r, link, tobj.get("local", [0, 0, 0]), _field(tobj, "target", ctx), float(tobj.get("weight", 1.0)))
         )
 
-    settings = doc.get("settings", {})
+    settings = _section(doc, "settings", {})
     try:
         inner = InnerSettings(
             w_reg=float(weights.get("regularization", 1e-4)),

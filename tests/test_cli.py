@@ -8,7 +8,7 @@ from proxopt import gradcheck as gradcheck_mod
 from proxopt.cli import main
 from proxopt.distance import brute_force_distance
 from proxopt.scene_io import load_scene, parse_trajectory_csv
-from proxopt.trajopt import _place_step
+from proxopt.trajopt import _place_step, solve, validate
 from conftest import SCENES, scene_text
 
 
@@ -51,9 +51,25 @@ def test_plan_input_errors(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     assert main(["plan", _scene_path("malformed"), "-o", out]) == 1
     assert main(["plan", str(tmp_path / "missing.json"), "-o", out]) == 1
-    for bad in ("bogus", "weights.smoothness=abc", "horizon.steps.x=1"):
+    for bad in (
+        "bogus",
+        "weights.smoothness=abc",
+        "horizon.steps.x=1",
+        "horizon=5",
+        "weights=[1]",
+        'objectives.state_targets=[{"robot":0}]',
+    ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err
+
+
+def test_plan_report_clearances_are_validate_bounds(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["plan", _scene_path("two_box_swap"), "-o", str(out)]) == 0
+    report = json.loads((tmp_path / "t.csv.report.json").read_text())
+    scene = load_scene(scene_text("two_box_swap"))
+    traj, _ = solve(scene)
+    assert report["min_clearance_per_step"] == validate(scene, traj).min_clearance_per_step
 
 
 def test_plan_nonconvergence_exit_code(tmp_path):

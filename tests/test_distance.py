@@ -8,6 +8,7 @@ from proxopt.distance import (
     barrier_minus,
     barrier_plus,
     brute_force_distance,
+    certified_distance,
     eval_D,
     eval_R,
     eval_U,
@@ -175,7 +176,7 @@ def test_brute_force_self_consistency():
         assert abs(lo - hi) < 1e-6
 
 
-def _exact_distance(pair):
+def _exact_distance(pair, method="trf"):
     # The difference of the two closest points is affine in the combined
     # parameter vector, so the box-constrained minimum distance is a bounded
     # linear least-squares problem that an off-the-shelf convex solver can
@@ -185,7 +186,7 @@ def _exact_distance(pair):
     base = a.anchor - b.anchor
     if m.shape[1] == 0:
         return float(np.linalg.norm(base))
-    sol = lsq_linear(m, -base, bounds=(0.0, 1.0), method="trf", tol=1e-14)
+    sol = lsq_linear(m, -base, bounds=(0.0, 1.0), method=method, tol=1e-14)
     return float(np.linalg.norm(m @ sol.x + base))
 
 
@@ -231,3 +232,40 @@ def test_solve_inner_reaches_reference_stationary_point():
                 _, grad, _ = eval_U(world, res.t_star)
                 worst = max(worst, float(np.linalg.norm(grad)))
     assert worst <= DEFAULT_INNER.grad_tol
+
+
+def test_certified_distance_brackets_exact_distance():
+    # bvls is lsq_linear's active-set method and exact up to rounding; trf at
+    # tol=1e-14 can stop ~1e-10 above the minimum of d^2, too loose for 1e-12.
+    rng = np.random.default_rng(16)
+    for kinds in KIND_PAIRS:
+        for _ in range(100):
+            pair, x = random_pair(kinds, rng)
+            world = place_pair(pair, x)
+            exact_sq = _exact_distance(world, "bvls") ** 2
+            lower_sq, upper_sq = certified_distance(world)
+            assert lower_sq <= exact_sq + 1e-12
+            assert upper_sq >= exact_sq - 1e-12
+            assert upper_sq - lower_sq <= 1e-9
+
+
+def test_certified_distance_holds_without_inner_convergence():
+    # the gap bound holds at any feasible point, so a one-step inner solve that
+    # stops far from the minimizer still gives sound (if looser) bounds
+    rng = np.random.default_rng(17)
+    one_step = InnerSettings(max_iters=1)
+    not_converged = open_gaps = 0
+    for kinds in KIND_PAIRS:
+        for _ in range(50):
+            pair, x = random_pair(kinds, rng)
+            world = place_pair(pair, x)
+            not_converged += not solve_inner(world, one_step).converged
+            exact_sq = _exact_distance(world, "bvls") ** 2
+            lower_sq, upper_sq = certified_distance(world, one_step)
+            assert 0.0 <= lower_sq <= exact_sq + 1e-12
+            assert upper_sq >= exact_sq - 1e-12
+            open_gaps += upper_sq - lower_sq > 1e-9
+    assert not_converged > 0
+    # the active-set polish closes the gap from most one-step starts (5 of
+    # these 500 stay open; 60 if released coordinates leave the wrong way)
+    assert open_gaps <= 10

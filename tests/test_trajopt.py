@@ -1,14 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from proxopt.distance import brute_force_distance
+from proxopt.distance import brute_force_distance, solve_inner
 from proxopt.kinematics import Joint, LimitSpec, RobotModel, RobotState
 from proxopt.poses import Pose
 from proxopt.primitives import Kind, Primitive, place
 from proxopt import trajopt
-from proxopt.scene_io import load_scene
+from proxopt.scene_io import load_scene, scene_from_dict
 from proxopt.trajopt import (
     Objectives,
     Obstacle,
@@ -30,6 +31,7 @@ from proxopt.trajopt import (
     validate,
 )
 from conftest import scene_text
+from test_distance import _exact_distance
 
 
 def _sphere_robot(name, margin=0.25):
@@ -381,6 +383,35 @@ def test_validate_reports_collisions_at_correct_steps():
     assert [v.step for v in report.violations] == [3]
     assert report.min_clearance_per_step[2] < -0.3
     assert report.worst_clearance == report.min_clearance_per_step[2]
+
+
+def test_validate_far_pair_reports_true_clearance():
+    # 2 m between the centres of two 0.1 m spheres: the clearance is 1.8, not
+    # the distance between the cores
+    scene = _two_sphere_scene([0, 0, 0], [2, 0, 0], margin=0.1)
+    report = validate(scene, Trajectory(scene.initial_row()[None, :], 0.1))
+    assert abs(report.min_clearance_per_step[0] - 1.8) <= 1e-9
+
+
+def test_validate_is_sound_when_inner_solves_stop_early():
+    doc = json.loads(scene_text("two_box_swap"))
+    doc["settings"] = {"inner_max_iters": 1}
+    scene = scene_from_dict(doc)
+    traj = default_trajectory(scene)
+    report = validate(scene, traj)
+    refs = scene.primitive_refs()
+    not_converged = 0
+    for i, row in enumerate(traj.states):
+        world, _ = _place_step(scene, row)
+        exact = math.inf
+        for a, b in scene.candidate_pairs():
+            pair = (world[a], world[b])
+            not_converged += not solve_inner(pair, scene.inner).converged
+            d = _exact_distance(pair, "bvls")
+            exact = min(exact, d - refs[a].margin - refs[b].margin)
+        assert report.min_clearance_per_step[i] <= exact + 1e-12
+    assert not_converged > 0
+    assert report.worst_clearance < 0.0  # the straight-line swap collides
 
 
 def test_validate_empty_scene():
