@@ -7,6 +7,7 @@ written) or a failed inner solve (nothing written), 3 derivative-check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,6 +45,11 @@ def _load_scene_file(path: str, overrides: list[str]) -> Scene:
     return scene_from_dict(doc)
 
 
+def _finite(value):
+    """A number for strict JSON: NaN and the infinities become None (null)."""
+    return value if math.isfinite(value) else None
+
+
 def cmd_plan(args) -> int:
     try:
         scene = _load_scene_file(args.scene, args.set or [])
@@ -65,13 +71,16 @@ def cmd_plan(args) -> int:
     run_report = {
         "converged": report.converged,
         "reason": report.reason,
-        "iterations": report.num_iterations,
-        "final_objective": report.final_objective,
-        "objective_history": [it.objective for it in report.iterations],
-        "min_clearance_per_step": [c if math.isfinite(c) else None for c in clearances],
+        "num_iterations": report.num_iterations,
+        "final_objective": _finite(report.final_objective),
+        "objective_history": [_finite(it.objective) for it in report.iterations],
+        "iterations": [
+            {name: _finite(value) for name, value in dataclasses.asdict(it).items()} for it in report.iterations
+        ],
+        "min_clearance_per_step": [_finite(c) for c in clearances],
     }
     with open(args.output + ".report.json", "w") as f:
-        json.dump(run_report, f, indent=2)
+        json.dump(run_report, f, indent=2, allow_nan=False)
     print(
         f"{'converged' if report.converged else 'not converged'} ({report.reason}) "
         f"after {report.num_iterations} iterations, objective {report.final_objective:.6g}",

@@ -3,16 +3,20 @@
 A robot state packs (base translation, base Euler angles, joint angles) into a
 vector of length n + 6. Link 0 is the base; joint k drives link k + 1, whose
 frame is parent_frame * fixed_offset * rotation(axis, q_k).
+
+`link_frames` computes the frames of one state, or of N stacked states in one
+vectorized pass per joint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .poses import Pose, axis_angle_matrix, euler_matrix_derivatives
+from .poses import Pose, euler_matrix_derivatives
 from .primitives import PlacementJacobian, Primitive, WorldPrimitive
 
 
@@ -85,6 +89,31 @@ class RobotModel:
             raise ValueError("base link has no parent")
         return self.joints[link - 1].parent
 
+    @cached_property
+    def _chain(self) -> "_Chain":
+        """The joints' constant offsets and axes, built on first use."""
+        axes = np.array([j.axis for j in self.joints]).reshape(-1, 3)
+        cross = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in axes]).reshape(-1, 3, 3)
+        return _Chain(
+            tuple(j.parent for j in self.joints),
+            np.array([j.offset.matrix() for j in self.joints]).reshape(-1, 3, 3),
+            np.array([j.offset.translation for j in self.joints]).reshape(-1, 3),
+            axes,
+            cross,
+            cross @ cross,
+        )
+
+
+class _Chain(NamedTuple):
+    """Per-joint constants of a RobotModel, stacked over the joints."""
+
+    parents: tuple[int, ...]
+    offset_rotations: np.ndarray  # (n, 3, 3)
+    offset_translations: np.ndarray  # (n, 3)
+    axes: np.ndarray  # (n, 3) unit hinge axes
+    cross: np.ndarray  # (n, 3, 3) cross-product matrix K of each axis
+    cross_sq: np.ndarray  # (n, 3, 3) K @ K
+
 
 @dataclass(frozen=True)
 class RobotState:
@@ -104,28 +133,63 @@ class RobotState:
 
 
 class _Frames(NamedTuple):
-    rotations: np.ndarray  # (num_links, 3, 3) world rotation per link
-    origins: np.ndarray  # (num_links, 3) world origin per link
-    joint_axes: np.ndarray  # (n, 3) world hinge axis per joint
-    joint_origins: np.ndarray  # (n, 3) world hinge origin per joint
+    """Link frames of one state, or of N states with a leading step axis."""
+
+    rotations: np.ndarray  # ([N,] num_links, 3, 3) world rotation per link
+    origins: np.ndarray  # ([N,] num_links, 3) world origin per link
+    joint_axes: np.ndarray  # ([N,] n, 3) world hinge axis per joint
+    joint_origins: np.ndarray  # ([N,] n, 3) world hinge origin per joint
+
+    def step(self, i: int) -> "_Frames":
+        """The frames of step i of stacked frames."""
+        return _Frames(self.rotations[i], self.origins[i], self.joint_axes[i], self.joint_origins[i])
 
 
-def link_frames(robot: RobotModel, state: RobotState) -> _Frames:
-    n = robot.n
-    rotations = np.empty((n + 1, 3, 3))
-    origins = np.empty((n + 1, 3))
-    joint_axes = np.empty((n, 3))
-    joint_origins = np.empty((n, 3))
-    rotations[0] = state.base.matrix()
-    origins[0] = state.base.translation
-    for k, joint in enumerate(robot.joints):
-        rp, op = rotations[joint.parent], origins[joint.parent]
-        r_pre = rp @ joint.offset.matrix()
-        o_pre = op + rp @ joint.offset.translation
-        joint_axes[k] = r_pre @ joint.axis
-        joint_origins[k] = o_pre
-        rotations[k + 1] = r_pre @ axis_angle_matrix(joint.axis, state.joint_angles[k])
-        origins[k + 1] = o_pre
+def _euler_matrices(angles: np.ndarray) -> np.ndarray:
+    """poses.euler_to_matrix over a leading axis: (N, 3) angles to (N, 3, 3)."""
+    n = len(angles)
+    ca, cb, cc = np.cos(angles).T
+    sa, sb, sc = np.sin(angles).T
+    rx = np.zeros((n, 3, 3))
+    ry = np.zeros((n, 3, 3))
+    rz = np.zeros((n, 3, 3))
+    rx[:, 0, 0] = ry[:, 1, 1] = rz[:, 2, 2] = 1.0
+    rx[:, 1, 1], rx[:, 1, 2], rx[:, 2, 1], rx[:, 2, 2] = ca, -sa, sa, ca
+    ry[:, 0, 0], ry[:, 0, 2], ry[:, 2, 0], ry[:, 2, 2] = cb, sb, -sb, cb
+    rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = cc, -sc, sc, cc
+    return rx @ ry @ rz
+
+
+def link_frames(robot: RobotModel, state) -> _Frames:
+    """World frames of every link for a RobotState, or for (N, n + 6) packed states.
+
+    Stacked states give frames with a leading step axis. They are computed in
+    one pass over the joints in topological order (a joint's parent is an
+    earlier link), each joint handling all N steps at once with the same
+    products as a single state, so step i's frames equal those of state i.
+    """
+    if isinstance(state, RobotState):
+        return link_frames(robot, state.to_vector()[None]).step(0)
+    x = np.asarray(state, dtype=float)
+    steps, n = len(x), robot.n
+    chain = robot._chain
+    rotations = np.empty((steps, n + 1, 3, 3))
+    origins = np.empty((steps, n + 1, 3))
+    joint_axes = np.empty((steps, n, 3))
+    joint_origins = np.empty((steps, n, 3))
+    rotations[:, 0] = _euler_matrices(x[:, 3:6])
+    origins[:, 0] = x[:, 0:3]
+    q = x[:, 6 : 6 + n]
+    sin_q = np.sin(q)[:, :, None, None]
+    vers_q = (1.0 - np.cos(q))[:, :, None, None]
+    eye = np.eye(3)
+    for k, parent in enumerate(chain.parents):
+        rp = rotations[:, parent]
+        r_pre = rp @ chain.offset_rotations[k]
+        origins[:, k + 1] = joint_origins[:, k] = origins[:, parent] + rp @ chain.offset_translations[k]
+        joint_axes[:, k] = r_pre @ chain.axes[k]
+        hinge = eye + sin_q[:, k] * chain.cross[k] + vers_q[:, k] * chain.cross_sq[k]
+        np.matmul(r_pre, hinge, out=rotations[:, k + 1])
     return _Frames(rotations, origins, joint_axes, joint_origins)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict
 from typing import Optional
 
@@ -47,6 +48,24 @@ def _section(obj: dict, key: str, default, where: str = ""):
     return value
 
 
+def _number(value, name: str, integer: bool = False):
+    """A scalar field as a finite float, or as an int if `integer`.
+
+    Anything else (a string, null, a list, a boolean, NaN, an infinity or, for
+    an integer, a fraction) raises SceneError naming the field.
+    """
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SceneError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        raise SceneError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else number
+
+
 def _field(obj: dict, key: str, context: str):
     """A required entry of a target object."""
     _require(key in obj, f"{context}: missing {key!r}")
@@ -67,13 +86,12 @@ def _parse_limits(obj, context: str) -> Optional[LimitSpec]:
     if obj is None:
         return None
     _require(isinstance(obj, dict), f"{context}: limits must be an object")
+    bounds = {
+        key: None if obj.get(key) is None else _number(obj[key], f"{context}: limits.{key}")
+        for key in ("lower", "upper", "velocity", "acceleration")
+    }
     try:
-        return LimitSpec(
-            lower=obj.get("lower"),
-            upper=obj.get("upper"),
-            velocity=obj.get("velocity"),
-            acceleration=obj.get("acceleration"),
-        )
+        return LimitSpec(**bounds)
     except ValueError as exc:
         raise SceneError(f"{context}: {exc}") from exc
 
@@ -89,7 +107,7 @@ def _parse_primitive(obj, attachment, context: str) -> Primitive:
             kind=kind,
             anchor=obj.get("p", [0.0, 0.0, 0.0]),
             vectors=obj.get("v", []),
-            margin=float(obj.get("margin", 0.0)),
+            margin=_number(obj.get("margin", 0.0), f"{context}: margin"),
             attachment=attachment,
             name=obj.get("name", ""),
         )
@@ -105,7 +123,7 @@ def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
         for k, jobj in enumerate(obj.get("joints", [])):
             ctx = f"joint {k}"
             _require("axis" in jobj, f"{ctx}: missing axis")
-            parent = int(jobj.get("parent", k))
+            parent = _number(jobj.get("parent", k), f"{ctx}: parent", integer=True)
             _require(0 <= parent <= k, f"{ctx}: parent {parent} is not an earlier link")
             joints.append(
                 Joint(
@@ -127,7 +145,7 @@ def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
         primitives = []
         for k, pobj in enumerate(obj.get("primitives", [])):
             ctx = f"primitive {k}"
-            link = int(pobj.get("link", 0))
+            link = _number(pobj.get("link", 0), f"{ctx}: link", integer=True)
             _require(0 <= link <= len(joints), f"{ctx}: unknown link {link}")
             primitives.append(_parse_primitive(pobj, link, ctx))
         model = RobotModel(name=name, joints=tuple(joints), base_limits=base_limits, primitives=tuple(primitives))
@@ -169,15 +187,15 @@ def scene_from_dict(doc) -> Scene:
         obstacles.append(Obstacle(oobj.get("name", f"obstacle{k}"), place(prim, pose)))
 
     horizon = _section(doc, "horizon", {})
-    num_steps = int(horizon.get("steps", 1))
-    h = float(horizon.get("h", 0.1))
+    num_steps = _number(horizon.get("steps", 1), "horizon.steps", integer=True)
+    h = _number(horizon.get("h", 0.1), "horizon.h")
     _require(num_steps >= 1 and h > 0, "horizon requires steps >= 1 and h > 0")
 
     weights = _section(doc, "weights", {})
     objectives = Objectives(
-        w_smooth=float(weights.get("smoothness", 0.1)),
-        w_collision=float(weights.get("collision", 1e3)),
-        w_limit=float(weights.get("limit", 1e3)),
+        w_smooth=_number(weights.get("smoothness", 0.1), "weights.smoothness"),
+        w_collision=_number(weights.get("collision", 1e3), "weights.collision"),
+        w_limit=_number(weights.get("limit", 1e3), "weights.limit"),
     )
 
     def robot_index(ref, ctx):
@@ -194,37 +212,38 @@ def scene_from_dict(doc) -> Scene:
         r = robot_index(tobj.get("robot"), ctx)
         value = np.asarray(_field(tobj, "value", ctx), dtype=float)
         _require(value.shape == (robots[r].dim,), f"{ctx}: value must have {robots[r].dim} entries")
-        step = int(_field(tobj, "step", ctx))
+        step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
-        objectives.state_targets.append(StateTarget(step, r, value, float(tobj.get("weight", 1.0))))
+        weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
+        objectives.state_targets.append(StateTarget(step, r, value, weight))
     for k, tobj in enumerate(_section(objs, "ee_targets", [], "objectives.")):
         ctx = f"objectives.ee_targets[{k}]"
         _require(isinstance(tobj, dict), f"{ctx}: must be an object")
         r = robot_index(tobj.get("robot"), ctx)
-        link = int(_field(tobj, "link", ctx))
+        link = _number(_field(tobj, "link", ctx), f"{ctx}.link", integer=True)
         _require(0 <= link <= robots[r].n, f"{ctx}: unknown link {link}")
-        step = int(_field(tobj, "step", ctx))
+        step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
+        weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
         objectives.ee_targets.append(
-            EETarget(step, r, link, tobj.get("local", [0, 0, 0]), _field(tobj, "target", ctx), float(tobj.get("weight", 1.0)))
+            EETarget(step, r, link, tobj.get("local", [0, 0, 0]), _field(tobj, "target", ctx), weight)
         )
 
     settings = _section(doc, "settings", {})
+    w_reg = _number(weights.get("regularization", 1e-4), "weights.regularization")
+    w_con = _number(weights.get("penalty", 1e4), "weights.penalty")
+    inner_grad_tol = _number(settings.get("inner_grad_tol", 1e-10), "settings.inner_grad_tol")
+    inner_max_iters = _number(settings.get("inner_max_iters", 50), "settings.inner_max_iters", integer=True)
     try:
-        inner = InnerSettings(
-            w_reg=float(weights.get("regularization", 1e-4)),
-            w_con=float(weights.get("penalty", 1e4)),
-            grad_tol=float(settings.get("inner_grad_tol", 1e-10)),
-            max_iters=int(settings.get("inner_max_iters", 50)),
-        )
+        inner = InnerSettings(w_reg=w_reg, w_con=w_con, grad_tol=inner_grad_tol, max_iters=inner_max_iters)
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
     outer = OuterSettings(
-        max_outer_iters=int(settings.get("max_outer_iters", 500)),
-        grad_tol=float(settings.get("grad_tol", 1e-6)),
-        ftol=float(settings.get("ftol", 1e-10)),
-        broad_phase_slack=float(settings.get("broad_phase_slack", 0.1)),
-        damping_init=float(settings.get("damping_init", 1e-8)),
+        max_outer_iters=_number(settings.get("max_outer_iters", 500), "settings.max_outer_iters", integer=True),
+        grad_tol=_number(settings.get("grad_tol", 1e-6), "settings.grad_tol"),
+        ftol=_number(settings.get("ftol", 1e-10), "settings.ftol"),
+        broad_phase_slack=_number(settings.get("broad_phase_slack", 0.1), "settings.broad_phase_slack"),
+        damping_init=_number(settings.get("damping_init", 1e-8), "settings.damping_init"),
     )
 
     try:
@@ -243,7 +262,7 @@ def scene_from_dict(doc) -> Scene:
 
     # Pin the first state to the provided initial configuration unless disabled.
     if settings.get("pin_initial", True):
-        pin_weight = float(settings.get("pin_weight", 1e6))
+        pin_weight = _number(settings.get("pin_weight", 1e6), "settings.pin_weight")
         for r in range(len(robots)):
             scene.objectives.state_targets.append(
                 StateTarget(1, r, states[r].to_vector(), pin_weight)

@@ -6,12 +6,17 @@ backtracking line search. Collision terms chain the differentiable inner
 distance solve through forward kinematics; pairs are culled each iteration by
 a conservative bounding-sphere broad phase and warm-started from the previous
 iteration's minimizers.
+
+Every primitive is an anchor plus 0-3 vectors, so `place_states` places all
+primitives at all N steps into fixed-shape arrays in one pass, and the broad
+phase tests all steps and candidate pairs in one array operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,12 +28,14 @@ from .kinematics import (
     RobotModel,
     RobotState,
     _coordinate_limits,
+    _Frames,
     link_frames,
     fk_jacobian,
-    place_on_robot,
     robot_placement_jacobian,
 )
-from .primitives import PlacementJacobian, WorldPrimitive, bounding_center_radius
+# Not called here: perfbench traces its per-primitive placement layer through this name.
+from .kinematics import place_on_robot  # noqa: F401
+from .primitives import PlacementJacobian, WorldPrimitive
 from .sensitivity import pair_derivatives
 
 
@@ -112,6 +119,7 @@ class PrimitiveRef:
     name: str
     link: Optional[int]
     margin: float
+    num_params: int  # L, the primitive's vector count
 
 
 @dataclass
@@ -164,9 +172,11 @@ class Scene:
         for r, robot in enumerate(self.robots):
             for k, prim in enumerate(robot.primitives):
                 name = prim.name or f"{robot.name}.{prim.attachment}.{k}"
-                refs.append(PrimitiveRef(r, k, name, int(prim.attachment), prim.margin))
+                refs.append(PrimitiveRef(r, k, name, int(prim.attachment), prim.margin, prim.num_params))
         for k, obs in enumerate(self.obstacles):
-            refs.append(PrimitiveRef(None, k, obs.name or f"obstacle{k}", None, obs.world.margin))
+            refs.append(
+                PrimitiveRef(None, k, obs.name or f"obstacle{k}", None, obs.world.margin, obs.world.num_params)
+            )
         self._refs = tuple(refs)
         pairs = []
         for i in range(len(refs)):
@@ -201,6 +211,12 @@ class Scene:
         """All primitive pairs except same/adjacent links and obstacle-obstacle."""
         return self._pairs
 
+    @cached_property
+    def _bounds_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ref's margin, and the first and second ref of every candidate pair."""
+        pairs = np.array(self._pairs, dtype=np.intp).reshape(-1, 2)
+        return np.array([ref.margin for ref in self._refs]), pairs[:, 0], pairs[:, 1]
+
     def robot_state(self, x_row: np.ndarray, robot: int) -> RobotState:
         off = self.robot_offsets[robot]
         return RobotState.from_vector(x_row[off : off + self.robots[robot].dim])
@@ -209,18 +225,73 @@ class Scene:
         return np.concatenate([s.to_vector() for s in self.initial_states]) if self.robots else np.zeros(0)
 
 
-def _place_step(scene: Scene, x_row: np.ndarray):
-    """World primitives for every ref at one step, plus per-robot frames."""
-    states = [scene.robot_state(x_row, r) for r in range(len(scene.robots))]
-    frames = [link_frames(robot, state) for robot, state in zip(scene.robots, states)]
-    world = []
-    for ref in scene.primitive_refs():
+class Placement:
+    """Every primitive ref of a scene placed at N steps, in fixed-shape arrays.
+
+    anchors[i, p] is ref p's world anchor at step i and vectors[i, p, :L] its
+    L world vectors (rows past L are zero). frames[r] holds robot r's link
+    frames with a leading step axis. `world(i, p)` is the WorldPrimitive view
+    that the inner solver takes; it is built only for the refs asked for.
+    """
+
+    def __init__(self, scene: Scene, anchors: np.ndarray, vectors: np.ndarray, frames: list[_Frames]):
+        self.scene = scene
+        self.anchors = anchors
+        self.vectors = vectors
+        self.frames = frames
+        self._views: dict[tuple[int, int], WorldPrimitive] = {}
+
+    def world(self, i: int, p: int) -> WorldPrimitive:
+        view = self._views.get((i, p))
+        if view is None:
+            ref = self.scene.primitive_refs()[p]
+            if ref.owner is None:
+                view = self.scene.obstacles[ref.index].world
+            else:
+                view = WorldPrimitive(self.anchors[i, p], self.vectors[i, p, : ref.num_params], ref.margin)
+            self._views[(i, p)] = view
+        return view
+
+    def step(self, i: int) -> list[WorldPrimitive]:
+        """Every ref's world primitive at step i."""
+        return [self.world(i, p) for p in range(self.anchors.shape[1])]
+
+    def step_frames(self, i: int) -> list[_Frames]:
+        """Every robot's link frames at step i."""
+        return [frames.step(i) for frames in self.frames]
+
+
+def place_states(scene: Scene, states: np.ndarray) -> Placement:
+    """Place every primitive ref at every row of `states` (N, dim_total).
+
+    Link frames come from one link_frames call per robot; each robot
+    primitive is then placed at all N steps with one product per primitive.
+    """
+    states = np.asarray(states, dtype=float)
+    refs = scene.primitive_refs()
+    anchors = np.zeros((len(states), len(refs), 3))
+    vectors = np.zeros((len(states), len(refs), 3, 3))
+    frames = []
+    for r, robot in enumerate(scene.robots):
+        off = scene.robot_offsets[r]
+        frames.append(link_frames(robot, states[:, off : off + robot.dim]))
+    for p, ref in enumerate(refs):
         if ref.owner is None:
-            world.append(scene.obstacles[ref.index].world)
-        else:
-            robot = scene.robots[ref.owner]
-            world.append(place_on_robot(robot, states[ref.owner], robot.primitives[ref.index], frames[ref.owner]))
-    return world, frames
+            world = scene.obstacles[ref.index].world
+            anchors[:, p] = world.anchor
+            vectors[:, p, : ref.num_params] = world.vectors
+            continue
+        prim = scene.robots[ref.owner].primitives[ref.index]
+        rot = frames[ref.owner].rotations[:, ref.link]
+        anchors[:, p] = frames[ref.owner].origins[:, ref.link] + rot @ prim.anchor
+        vectors[:, p, : ref.num_params] = prim.vectors @ rot.transpose(0, 2, 1)
+    return Placement(scene, anchors, vectors, frames)
+
+
+def _place_step(scene: Scene, x_row: np.ndarray):
+    """World primitives for every ref at one step, plus per-robot frames (place_states at N = 1)."""
+    placement = place_states(scene, np.asarray(x_row, dtype=float)[None])
+    return placement.step(0), placement.step_frames(0)
 
 
 def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: int) -> PlacementJacobian:
@@ -235,19 +306,7 @@ def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: in
 
 def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list[tuple[int, int]]:
     """Pairs whose bounding spheres are within `slack` of touching at a 1-based step."""
-    world, _ = _place_step(scene, traj.states[step - 1])
-    return broad_phase_rows(scene, world, slack)
-
-
-def _bound_penalty(v: float, lo: Optional[float], hi: Optional[float]):
-    """One-sided quadratic barriers toward [lo, hi]: value, d/dv, d2/dv2."""
-    if hi is not None and v > hi:
-        e = v - hi
-        return e * e, 2.0 * e, 2.0
-    if lo is not None and v < lo:
-        e = v - lo
-        return e * e, 2.0 * e, 2.0
-    return 0.0, 0.0, 0.0
+    return broad_phase_rows(scene, place_states(scene, traj.states[step - 1 : step]), slack)[0]
 
 
 class _Accumulator:
@@ -287,7 +346,7 @@ def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
     return value
 
 
-def _goal_terms(scene: Scene, states, placed, acc: _Accumulator) -> float:
+def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -> float:
     value = 0.0
     offsets = scene.robot_offsets
     for tgt in scene.objectives.state_targets:
@@ -307,7 +366,7 @@ def _goal_terms(scene: Scene, states, placed, acc: _Accumulator) -> float:
         off = offsets[tgt.robot]
         i = tgt.step - 1
         state = scene.robot_state(states[i], tgt.robot)
-        frames = placed[i][1][tgt.robot]
+        frames = placement.frames[tgt.robot].step(i)
         p = frames.origins[tgt.link] + frames.rotations[tgt.link] @ tgt.local
         e = p - tgt.target
         value += tgt.weight * float(e @ e)
@@ -321,10 +380,18 @@ def _goal_terms(scene: Scene, states, placed, acc: _Accumulator) -> float:
 
 
 def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, float]:
-    """Returns (weighted value, worst raw bound violation)."""
+    """Returns (weighted value, worst raw bound violation).
+
+    Each stencil is evaluated at all steps at once, summing its terms in
+    stencil order. The entries that violate a bound are then added in step
+    order: np.add.accumulate sums the value sequentially, and each gradient or
+    Hessian element receives its contributions in increasing step order, so
+    the sums round exactly as a loop over every entry would.
+    """
     w = scene.objectives.w_limit
     h = scene.h
     n = len(states)
+    dim = states.shape[1]
     value = 0.0
     worst = 0.0
     stencils = {
@@ -344,29 +411,42 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
             if spec.acceleration is not None:
                 checks.append((2, -spec.acceleration, spec.acceleration))
             for order, lo, hi in checks:
+                if order >= n:
+                    continue
                 stencil = stencils[order]
-                for i in range(order, n):
-                    v = sum(c * states[i + d, col] for d, c in stencil)
-                    phi, dphi, ddphi = _bound_penalty(v, lo, hi)
-                    if phi == 0.0:
-                        continue
-                    value += w * phi
-                    worst = max(worst, math.sqrt(phi))
-                    if acc.need_derivs:
-                        for d, c in stencil:
-                            acc.grad[i + d, col] += w * dphi * c
-                        for da, ca in stencil:
-                            for db, cb in stencil:
-                                blk = np.zeros((acc.dim, acc.dim))
-                                blk[col, col] = w * ddphi * ca * cb
-                                acc.add_block(i + da, i + db, blk)
+                column = states[:, col]
+                v = stencil[0][1] * column[order:]
+                for d, c in stencil[1:]:
+                    v = v + c * column[order + d : n + d]
+                # One-sided quadratic barriers toward [lo, hi]; the upper bound wins.
+                e = np.zeros_like(v)
+                if lo is not None:
+                    below = v < lo
+                    e[below] = v[below] - lo
+                if hi is not None:
+                    above = v > hi
+                    e[above] = v[above] - hi
+                phi = e * e
+                hit = np.flatnonzero(phi != 0.0)
+                if not len(hit):
+                    continue
+                phi, e, steps = phi[hit], e[hit], hit + order
+                value = float(np.add.accumulate(np.concatenate(([value], w * phi)))[-1])
+                worst = max(worst, float(np.sqrt(phi.max())))
+                if acc.need_derivs:
+                    slope = w * (2.0 * e)
+                    for d, c in stencil:
+                        acc.grad[steps + d, col] += slope * c
+                    for da, ca in stencil:
+                        for db, cb in stencil:
+                            acc.hess[(steps + da) * dim + col, (steps + db) * dim + col] += w * 2.0 * ca * cb
     return value, worst
 
 
 def _collision_penalty(
     scene: Scene,
     states,
-    placed,
+    placement: Placement,
     active: list[list[tuple[int, int]]],
     warm: dict,
     acc: _Accumulator,
@@ -383,12 +463,9 @@ def _collision_penalty(
     min_clearance = math.inf
     max_violation = 0.0
     for i, pairs in enumerate(active):
-        if not pairs:
-            continue
-        world, frames = placed[i]
         for key in pairs:
             a, b = key
-            pair = (world[a], world[b])
+            pair = (placement.world(i, a), placement.world(i, b))
             res = solve_inner(pair, scene.inner, warm.get((i, key)))
             if not res.converged:
                 raise SolveError(
@@ -405,6 +482,7 @@ def _collision_penalty(
             e = res.d_sq - m2
             value += w_ca * e * e
             if acc.need_derivs:
+                frames = placement.step_frames(i)
                 ja = _ref_jacobian(scene, states[i], refs[a], frames, pair[0].num_params)
                 jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
                 ders = pair_derivatives(pair, (ja, jb), res, scene.inner)
@@ -426,8 +504,7 @@ def smoothness_term(traj: Trajectory, w_smooth: float):
 
 def goal_terms(traj: Trajectory, scene: Scene):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    placed = [_place_step(scene, row) for row in traj.states]
-    value = _goal_terms(scene, traj.states, placed, acc)
+    value = _goal_terms(scene, traj.states, place_states(scene, traj.states), acc)
     return value, acc.grad.ravel(), acc.hess
 
 
@@ -444,8 +521,8 @@ def collision_penalty(
     warm: Optional[dict] = None,
 ):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    placed = [_place_step(scene, row) for row in traj.states]
-    value, _, _, _ = _collision_penalty(scene, traj.states, placed, active, warm or {}, acc)
+    placement = place_states(scene, traj.states)
+    value, _, _, _ = _collision_penalty(scene, traj.states, placement, active, warm or {}, acc)
     return value, acc.grad.ravel(), acc.hess
 
 
@@ -457,14 +534,14 @@ def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float):
     positive clearance and zero penalty. Freezing the pair set across a line
     search would make candidate values incomparable and can cycle.
     """
-    placed = [_place_step(scene, row) for row in states]
-    active = [broad_phase_rows(scene, world, slack) for world, _ in placed]
+    placement = place_states(scene, states)
+    active = broad_phase_rows(scene, placement, slack)
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, placed, acc)
+    value += _goal_terms(scene, states, placement, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
-    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, placed, active, warm, acc)
+    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, placement, active, warm, acc)
     value += col_value
     return value, acc, new_warm, min_clear, max(max_viol, lim_worst), active
 
@@ -638,15 +715,22 @@ def solve(
     return Trajectory(states, scene.h), SolveReport(history, converged, reason, final_value, final_clear)
 
 
-def broad_phase_rows(scene: Scene, world: list[WorldPrimitive], slack: float) -> list[tuple[int, int]]:
-    """broad_phase on one step's placed primitives (the world list of _place_step)."""
-    bounds = [bounding_center_radius(w) for w in world]
-    kept = []
-    for i, j in scene.candidate_pairs():
-        (ci, ri), (cj, rj) = bounds[i], bounds[j]
-        if np.linalg.norm(ci - cj) <= ri + rj + slack:
-            kept.append((i, j))
-    return kept
+def broad_phase_rows(scene: Scene, placement: Placement, slack: float) -> list[list[tuple[int, int]]]:
+    """broad_phase at every placed step: one list of kept candidate pairs per step.
+
+    The bounding sphere of each placed primitive is that of
+    primitives.bounding_center_radius; all steps and candidate pairs are
+    tested in one array operation.
+    """
+    margins, first, second = scene._bounds_index
+    pairs = scene.candidate_pairs()
+    vectors = placement.vectors
+    centers = placement.anchors + 0.5 * vectors.sum(axis=2)
+    radii = 0.5 * np.sqrt((vectors * vectors).sum(axis=3)).sum(axis=2) + margins
+    gap = centers[:, first] - centers[:, second]
+    reach = radii[:, first] + radii[:, second] + slack
+    kept = np.sqrt((gap * gap).sum(axis=2)) <= reach
+    return [[pairs[c] for c in np.flatnonzero(row)] for row in kept]
 
 
 @dataclass
@@ -686,14 +770,14 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     from .kinematics import limit_values
 
     refs = scene.primitive_refs()
+    placement = place_states(scene, traj.states)
     per_step = []
     violations = []
     limit_viols = []
     for i in range(traj.num_steps):
-        world, _ = _place_step(scene, traj.states[i])
         step_min = math.inf
         for a, b in scene.candidate_pairs():
-            lower_sq, _ = certified_distance((world[a], world[b]), scene.inner)
+            lower_sq, _ = certified_distance((placement.world(i, a), placement.world(i, b)), scene.inner)
             clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
             step_min = min(step_min, clearance)
             if clearance < 0.0:

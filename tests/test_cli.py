@@ -31,7 +31,7 @@ def test_plan_writes_trajectory_and_report(tmp_path, capsys):
 
     report = json.loads((tmp_path / "traj.csv.report.json").read_text())
     assert report["converged"] is True
-    assert report["iterations"] >= 1
+    assert report["num_iterations"] >= 1
     assert len(report["min_clearance_per_step"]) == 10
     # a single-robot sphere scene has no pairs: clearances are null (infinite)
     assert all(c is None for c in report["min_clearance_per_step"])
@@ -58,9 +58,47 @@ def test_plan_input_errors(tmp_path, capsys):
         "horizon=5",
         "weights=[1]",
         'objectives.state_targets=[{"robot":0}]',
+        'horizon.steps="abc"',
+        "weights.smoothness=null",
+        "settings.max_outer_iters=[1]",
+        'objectives.state_targets=[{"robot":0,"value":[0,0,0,0,0,0],"step":"x"}]',
+        "weights.smoothness=NaN",
     ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err
+
+
+def test_plan_report_exports_iteration_stats_as_strict_json(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["plan", _scene_path("two_box_swap"), "-o", str(out)]) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "t.csv.report.json").read_text(), parse_constant=reject)
+    scene = load_scene(scene_text("two_box_swap"))
+    _, solved = solve(scene)
+    assert report["num_iterations"] == solved.num_iterations == len(report["iterations"])
+    for row, stats in zip(report["iterations"], solved.iterations):
+        assert set(row) == {
+            "objective", "grad_inf", "damping", "alpha", "min_clearance", "max_violation", "active_pairs"
+        }
+        for name, value in row.items():
+            expected = getattr(stats, name)
+            assert value == (expected if math.isfinite(expected) else None)
+    assert report["objective_history"] == [row["objective"] for row in report["iterations"]]
+
+
+def test_plan_report_with_no_pairs_writes_null_clearances(tmp_path):
+    # a single sphere has no pairs, so every clearance in the report is infinite
+    out = tmp_path / "t.csv"
+    assert main(["plan", _scene_path("minimal"), "-o", str(out)]) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "t.csv.report.json").read_text(), parse_constant=reject)
+    assert all(row["min_clearance"] is None for row in report["iterations"])
 
 
 def test_plan_report_clearances_are_validate_bounds(tmp_path):
@@ -80,7 +118,8 @@ def test_plan_nonconvergence_exit_code(tmp_path):
     assert code == 2
     # the trajectory and report are still written
     report = json.loads((tmp_path / "t.csv.report.json").read_text())
-    assert report["converged"] is False and report["iterations"] == 1
+    assert report["converged"] is False and report["num_iterations"] == 1
+    assert len(report["iterations"]) == 1
     assert out.exists()
 
 

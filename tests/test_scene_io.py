@@ -128,6 +128,15 @@ def test_loader_rejects_zero_joint_axis():
         scene_from_dict(doc)
 
 
+def test_scalar_fields_accept_numpy_numbers():
+    # a document built in Python may hold numpy scalars, which are not int/float subclasses
+    doc = json.loads(scene_text("minimal"))
+    doc["horizon"] = {"steps": np.int64(12), "h": np.float32(0.25)}
+    doc["settings"] = {"max_outer_iters": np.int32(7)}
+    scene = scene_from_dict(doc)
+    assert scene.num_steps == 12 and scene.h == 0.25 and scene.outer.max_outer_iters == 7
+
+
 def test_round_trip_is_identity():
     for name in ("minimal", "arm7_box", "capsule_box", "two_box_swap"):
         scene = load_scene(scene_text(name))

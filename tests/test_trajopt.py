@@ -23,6 +23,7 @@ from proxopt.trajopt import (
     broad_phase,
     broad_phase_rows,
     collision_penalty,
+    place_states,
     default_trajectory,
     goal_terms,
     limit_penalty,
@@ -195,8 +196,7 @@ def test_broad_phase_is_conservative():
             )
             states.append(RobotState(Pose(rng.uniform(-1.2, 1.2, 3), rng.uniform(-np.pi, np.pi, 3))))
         scene = Scene(robots=prims, initial_states=states)
-        world, _ = _place_step(scene, scene.initial_row())
-        kept = broad_phase_rows(scene, world, slack)
+        kept = broad_phase_rows(scene, place_states(scene, scene.initial_row()[None]), slack)[0]
         if not kept:
             world = [
                 place(r.primitives[0], s.base) for r, s in zip(prims, states)
@@ -209,7 +209,8 @@ def test_broad_phase_is_conservative():
 
 def test_evaluate_places_each_step_once(monkeypatch):
     # the broad phase, the collision term and the end-effector target share one
-    # placement per step, and the scene's pair lists are built once
+    # placement of all steps, made with one link_frames call per robot, and the
+    # scene's pair lists are built once
     scene = load_scene(scene_text("arm7_box"))
     calls = []
     original = trajopt.link_frames
@@ -222,7 +223,7 @@ def test_evaluate_places_each_step_once(monkeypatch):
     states = default_trajectory(scene).states
     _, _, _, _, _, active = _evaluate(scene, states, {}, True, scene.outer.broad_phase_slack)
     assert any(active)  # the collision term has pairs to solve
-    assert len(calls) == scene.num_steps * len(scene.robots) == 160
+    assert len(calls) == len(scene.robots) == 1
     assert scene.primitive_refs() is scene.primitive_refs()
     assert scene.candidate_pairs() is scene.candidate_pairs()
 
