@@ -5,7 +5,8 @@ of ||P_a(t_a) - P_b(t_b)||^2, subject to 0 <= t <= 1. The box constraints are
 softened with one-sided quadratic barriers and a small centering regularizer
 ||t - 0.5||^2 keeps the problem strongly convex (parallel capsules and friends
 stay well-conditioned). The resulting unconstrained problem is solved with
-Newton's method. certified_distance turns one such solve into certified lower
+Newton's method: solve_inner for one pair, solve_lanes for many pairs of one
+shape in one array pass with the same rounding. certified_distance turns one such solve into certified lower
 and upper bounds on the hard squared distance.
 """
 
@@ -314,6 +315,197 @@ def solve_inner(
     )
 
 
+class LaneResults:
+    """solve_lanes' answers for n lanes: row k holds lane k's ProximityResult fields.
+
+    A plain class rather than a dataclass, so that importing the package
+    does not pay for generating its methods.
+    """
+
+    __slots__ = ("d_sq", "t_star", "closest_a", "closest_b", "newton_steps", "converged")
+
+    def __init__(self, d_sq, t_star, closest_a, closest_b, newton_steps, converged):
+        self.d_sq = d_sq  # (n,)
+        self.t_star = t_star  # (n, La + Lb)
+        self.closest_a = closest_a  # (n, 3)
+        self.closest_b = closest_b  # (n, 3)
+        self.newton_steps = newton_steps  # (n,)
+        self.converged = converged  # (n,)
+
+    def lane(self, k: int) -> ProximityResult:
+        return ProximityResult(
+            d_sq=float(self.d_sq[k]),
+            t_star=self.t_star[k],
+            closest_a=self.closest_a[k],
+            closest_b=self.closest_b[k],
+            newton_steps=int(self.newton_steps[k]),
+            converged=bool(self.converged[k]),
+        )
+
+
+def solve_lanes(
+    anchor_a: np.ndarray,
+    vectors_a: np.ndarray,
+    anchor_b: np.ndarray,
+    vectors_b: np.ndarray,
+    starts: np.ndarray,
+    settings: InnerSettings = DEFAULT_INNER,
+) -> LaneResults:
+    """solve_inner on n pairs ("lanes") of one shape at once, bitwise equal per lane.
+
+    Lane k is the pair with anchors anchor_a[k], anchor_b[k] (n, 3), vectors
+    vectors_a[k] (n, La, 3), vectors_b[k] (n, Lb, 3), started from starts[k]
+    (n, La + Lb). Every lane runs solve_inner's float operations in the same
+    order, element-wise across lanes: sums over the <= 6 coordinates are
+    explicit loops (no np.sum, no matmul, no LAPACK, which would round
+    differently), a lane that converged or stalled is frozen, and a lane whose
+    full step raises the value calls the scalar _exact_line_search. The
+    closest points and d_sq come from stacked matmuls, which make the same
+    BLAS calls as solve_inner's per-pair `@`. A lane whose Hessian
+    factorization fails (only possible for non-finite input) is returned as
+    not converged instead of raising.
+    """
+    la, lb = vectors_a.shape[1], vectors_b.shape[1]
+    t_star = np.array(starts, dtype=float).reshape(len(anchor_a), la + lb)
+    steps = np.zeros(len(t_star), dtype=np.intp)
+    converged = np.ones(len(t_star), dtype=bool)
+    if la + lb == 0:
+        diff = anchor_a - anchor_b
+        return LaneResults(
+            np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0],
+            t_star, anchor_a.copy(), anchor_b.copy(), steps, converged,
+        )
+    rows = np.concatenate([vectors_a, -vectors_b], axis=1)  # row l = signed v_l
+    with np.errstate(all="ignore"):
+        _newton_lanes(rows, anchor_a - anchor_b, t_star, steps, converged, settings)
+    closest_a = anchor_a + np.matmul(t_star[:, None, :la], vectors_a)[:, 0]
+    closest_b = anchor_b + np.matmul(t_star[:, None, la:], vectors_b)[:, 0]
+    diff = closest_a - closest_b
+    d_sq = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    return LaneResults(d_sq, t_star, closest_a, closest_b, steps, converged)
+
+
+def _newton_lanes(rows, base, t_out, steps, converged, settings: InnerSettings):
+    """solve_inner's Newton loop over lanes; writes t_out, steps and converged in place.
+
+    Every expression below is solve_inner's (and _newton_step's) with each
+    float replaced by an (m,) array over the m lanes still iterating; sums
+    over coordinates stay loops in the scalar order. Finished lanes are
+    written out and dropped.
+    """
+    dim = rows.shape[1]
+    w_reg, w_con = settings.w_reg, settings.w_con
+    two_reg, two_con = 2.0 * w_reg, 2.0 * w_con
+    grad_tol = settings.grad_tol
+    prods = rows[:, :, None, :] * rows[:, None, :, :]
+    hess = 2.0 * (prods[..., 0] + prods[..., 1] + prods[..., 2])  # (n, L, L)
+    diag_base = hess[:, np.arange(dim), np.arange(dim)] + two_reg
+
+    def evaluate(t, rows, base):
+        d = base
+        for l in range(dim):
+            d = d + t[:, l, None] * rows[:, l]
+        e = np.where(t > 1.0, t - 1.0, np.where(t < 0.0, t, 0.0))
+        tc = t - 0.5
+        tc2, e2 = tc * tc, e * e
+        reg, bar = tc2[:, 0], e2[:, 0]
+        for l in range(1, dim):
+            reg = reg + tc2[:, l]
+            bar = bar + e2[:, l]
+        dv = rows * d[:, None, :]
+        grad = 2.0 * (dv[..., 0] + dv[..., 1] + dv[..., 2]) + two_reg * tc + two_con * e
+        d2 = d * d
+        value = (d2[:, 0] + d2[:, 1] + d2[:, 2]) + w_reg * reg + w_con * bar
+        return value, grad, e
+
+    def below_tol(grad):
+        # solve_inner's sum() adds the squares in order before Python 3.12;
+        # later versions compensate it, which moves the norm by at most an
+        # ulp and so changes the answer only at a tie with grad_tol.
+        g2 = grad * grad
+        total = g2[:, 0]
+        for l in range(1, dim):
+            total = total + g2[:, l]
+        return np.sqrt(total) <= grad_tol
+
+    def newton_step(hess, diag, grad):
+        low = []  # low[i][j]: the lower factor's (m,) entries
+        ok = np.ones(len(grad), dtype=bool)
+        for i in range(dim):
+            row = []
+            pivot = diag[:, i]
+            for j in range(i):
+                s = hess[:, i, j]
+                for k in range(j):
+                    s = s - row[k] * low[j][k]
+                row.append(s / low[j][j])
+            for lk in row:
+                pivot = pivot - lk * lk
+            ok &= pivot > 0.0
+            row.append(np.sqrt(pivot))
+            low.append(row)
+        dt = []
+        for i in range(dim):
+            s = -grad[:, i]
+            for k in range(i):
+                s = s - low[i][k] * dt[k]
+            dt.append(s / low[i][i])
+        for i in range(dim - 1, -1, -1):
+            s = dt[i]
+            for k in range(i + 1, dim):
+                s = s - low[k][i] * dt[k]
+            dt[i] = s / low[i][i]
+        return np.stack(dt, axis=1), ok
+
+    live = np.arange(len(t_out))
+    t = t_out
+    value, grad, e = evaluate(t, rows, base)
+    finished = below_tol(grad)
+    for _ in range(settings.max_iters):
+        if finished.any():
+            t_out[live[finished]] = t[finished]
+            keep = ~finished
+            live, t, value, grad, e, rows, base, hess, diag_base = (
+                x[keep] for x in (live, t, value, grad, e, rows, base, hess, diag_base)
+            )
+        if not len(live):
+            return
+        diag = np.where(e != 0.0, diag_base + two_con, diag_base)
+        dt, ok = newton_step(hess, diag, grad)
+        # A failed factorization leaves the lane where it is: it stalls and ends unconverged.
+        converged[live[~ok]] = False
+        dt[~ok] = 0.0
+        t_new = t + dt
+        value_new, grad_new, e_new = evaluate(t_new, rows, base)
+        up = np.flatnonzero(value_new > value)
+        if len(up):
+            # Slope at 0 and curvature of the barrier-free part along dt, as in solve_inner.
+            g, el, dl, v = grad[up], e[up], dt[up], rows[up]
+            slope0 = ux = uy = uz = dd = np.zeros(len(up))
+            for l in range(dim):
+                slope0 = slope0 + (g[:, l] - two_con * el[:, l]) * dl[:, l]
+                ux = ux + dl[:, l] * v[:, l, 0]
+                uy = uy + dl[:, l] * v[:, l, 1]
+                uz = uz + dl[:, l] * v[:, l, 2]
+                dd = dd + dl[:, l] * dl[:, l]
+            curvature = 2.0 * (ux * ux + uy * uy + uz * uz) + two_reg * dd
+            alpha = np.array([
+                _exact_line_search(tk, dk, s0, c, w_con)
+                for tk, dk, s0, c in zip(t[up].tolist(), dl.tolist(), slope0.tolist(), curvature.tolist())
+            ])
+            t_new[up] = t[up] + alpha[:, None] * dl
+            value_new[up], grad_new[up], e_new[up] = evaluate(t_new[up], v, base[up])
+        stalled = (np.abs(t_new - t) <= 1e-14 * np.maximum(1.0, np.abs(t))).all(axis=1)
+        t, value, grad, e = t_new, value_new, grad_new, e_new
+        steps[live] += 1
+        # A stalled lane has converged (solve_inner's rule); the others are
+        # checked against grad_tol, as solve_inner does before its next step
+        # or after its last.
+        finished = stalled | below_tol(grad)
+    t_out[live] = t
+    converged[live] &= finished
+
+
 def certified_distance(
     pair: tuple[WorldPrimitive, WorldPrimitive],
     settings: InnerSettings = DEFAULT_INNER,
@@ -334,9 +526,12 @@ def certified_distance(
     jt = np.concatenate([a.vectors, -b.vectors], axis=0).T  # (3, L): columns +v_a, -v_b
     base = a.anchor - b.anchor
     dim = jt.shape[1]
+    # A pair with a non-finite coordinate is a certified collision: (0, inf).
     if dim == 0:
         d_sq = float(base @ base)
-        return d_sq, d_sq
+        return (d_sq, d_sq) if math.isfinite(d_sq) else (0.0, math.inf)
+    if not math.isfinite(base.sum() + jt.sum()):
+        return 0.0, math.inf
 
     t = np.clip(solve_inner(pair, settings).t_star, 0.0, 1.0)
     fixed = (t == 0.0) | (t == 1.0)

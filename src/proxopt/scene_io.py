@@ -66,6 +66,23 @@ def _number(value, name: str, integer: bool = False):
     return int(value) if integer else number
 
 
+def _array(value, name: str, size: Optional[int] = None) -> np.ndarray:
+    """An array field as a float array of finite numbers, with `size` entries if given.
+
+    Anything else (a string, null, a boolean, a ragged list, NaN, an infinity
+    or the wrong length) raises SceneError naming the field.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise SceneError(f"{name} must be finite numbers, got {json.dumps(value, default=repr)}")
+    if size is not None and array.shape != (size,):
+        raise SceneError(f"{name} must have {size} entries, got {json.dumps(value, default=repr)}")
+    return array.astype(float)
+
+
 def _field(obj: dict, key: str, context: str):
     """A required entry of a target object."""
     _require(key in obj, f"{context}: missing {key!r}")
@@ -76,9 +93,8 @@ def _parse_pose(obj, context: str) -> Pose:
     if obj is None:
         return Pose.identity()
     _require(isinstance(obj, dict), f"{context}: pose must be an object")
-    translation = obj.get("translation", [0.0, 0.0, 0.0])
-    rotation = obj.get("rotation", [0.0, 0.0, 0.0])
-    _require(len(translation) == 3 and len(rotation) == 3, f"{context}: pose needs 3+3 numbers")
+    translation = _array(obj.get("translation", [0.0, 0.0, 0.0]), f"{context}: translation", 3)
+    rotation = _array(obj.get("rotation", [0.0, 0.0, 0.0]), f"{context}: rotation", 3)
     return Pose(translation, rotation)
 
 
@@ -102,11 +118,13 @@ def _parse_primitive(obj, attachment, context: str) -> Primitive:
         kind = Kind(obj["kind"])
     except ValueError:
         raise SceneError(f"{context}: unknown primitive kind {obj['kind']!r}") from None
+    anchor = _array(obj.get("p", [0.0, 0.0, 0.0]), f"{context}: p")
+    vectors = _array(obj.get("v", []), f"{context}: v")
     try:
         return Primitive(
             kind=kind,
-            anchor=obj.get("p", [0.0, 0.0, 0.0]),
-            vectors=obj.get("v", []),
+            anchor=anchor,
+            vectors=vectors,
             margin=_number(obj.get("margin", 0.0), f"{context}: margin"),
             attachment=attachment,
             name=obj.get("name", ""),
@@ -129,7 +147,7 @@ def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
                 Joint(
                     parent=parent,
                     offset=_parse_pose(jobj.get("offset"), ctx),
-                    axis=np.asarray(jobj["axis"], dtype=float),
+                    axis=_array(jobj["axis"], f"{ctx}: axis"),
                     limits=_parse_limits(jobj.get("limits"), ctx),
                 )
             )
@@ -151,8 +169,7 @@ def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
         model = RobotModel(name=name, joints=tuple(joints), base_limits=base_limits, primitives=tuple(primitives))
     except ValueError as exc:
         raise SceneError(f"robot {name!r}: {exc}") from exc
-    q = np.asarray(obj.get("q", [0.0] * model.n), dtype=float)
-    _require(q.shape == (model.n,), f"robot {name!r}: q must have {model.n} entries")
+    q = _array(obj.get("q", [0.0] * model.n), f"robot {name!r}: q", model.n)
     state = RobotState(_parse_pose(obj.get("base"), f"robot {name!r} base"), q)
     return model, state
 
@@ -210,8 +227,7 @@ def scene_from_dict(doc) -> Scene:
         ctx = f"objectives.state_targets[{k}]"
         _require(isinstance(tobj, dict), f"{ctx}: must be an object")
         r = robot_index(tobj.get("robot"), ctx)
-        value = np.asarray(_field(tobj, "value", ctx), dtype=float)
-        _require(value.shape == (robots[r].dim,), f"{ctx}: value must have {robots[r].dim} entries")
+        value = _array(_field(tobj, "value", ctx), f"{ctx}: value", robots[r].dim)
         step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
         weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
@@ -225,9 +241,9 @@ def scene_from_dict(doc) -> Scene:
         step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
         _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
         weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
-        objectives.ee_targets.append(
-            EETarget(step, r, link, tobj.get("local", [0, 0, 0]), _field(tobj, "target", ctx), weight)
-        )
+        local = _array(tobj.get("local", [0, 0, 0]), f"{ctx}: local", 3)
+        target = _array(_field(tobj, "target", ctx), f"{ctx}: target", 3)
+        objectives.ee_targets.append(EETarget(step, r, link, local, target, weight))
 
     settings = _section(doc, "settings", {})
     w_reg = _number(weights.get("regularization", 1e-4), "weights.regularization")

@@ -9,7 +9,9 @@ iteration's minimizers.
 
 Every primitive is an anchor plus 0-3 vectors, so `place_states` places all
 primitives at all N steps into fixed-shape arrays in one pass, and the broad
-phase tests all steps and candidate pairs in one array operation.
+phase tests all steps and candidate pairs in one array operation. Every kept
+(step, pair) is then one lane of the same small minimization, and the lanes
+of one (La, Lb) shape are solved together by `distance.solve_lanes`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distance import DEFAULT_INNER, InnerSettings, certified_distance, solve_inner
-# Not called here: perfbench traces its grid-oracle layer through this name.
-from .distance import brute_force_distance  # noqa: F401
+from .distance import DEFAULT_INNER, InnerSettings, certified_distance, solve_lanes
+# Not called here: perfbench traces its grid-oracle and scalar inner-solve layers through these names.
+from .distance import brute_force_distance, solve_inner  # noqa: F401
 from .kinematics import (
     RobotModel,
     RobotState,
@@ -217,6 +219,14 @@ class Scene:
         pairs = np.array(self._pairs, dtype=np.intp).reshape(-1, 2)
         return np.array([ref.margin for ref in self._refs]), pairs[:, 0], pairs[:, 1]
 
+    @cached_property
+    def _lane_index(self) -> tuple[dict, np.ndarray, list[tuple[int, int]]]:
+        """Every candidate pair's slot, its (La, Lb) group, and each group's (La, Lb)."""
+        slots = {pair: c for c, pair in enumerate(self._pairs)}
+        shape_of = [(self._refs[a].num_params, self._refs[b].num_params) for a, b in self._pairs]
+        shapes = sorted(set(shape_of))
+        return slots, np.array([shapes.index(shape) for shape in shape_of], dtype=np.intp), shapes
+
     def robot_state(self, x_row: np.ndarray, robot: int) -> RobotState:
         off = self.robot_offsets[robot]
         return RobotState.from_vector(x_row[off : off + self.robots[robot].dim])
@@ -292,6 +302,78 @@ def _place_step(scene: Scene, x_row: np.ndarray):
     """World primitives for every ref at one step, plus per-robot frames (place_states at N = 1)."""
     placement = place_states(scene, np.asarray(x_row, dtype=float)[None])
     return placement.step(0), placement.step_frames(0)
+
+
+class _LaneGroup:
+    """The lanes of one (La, Lb) shape, packed for solve_lanes."""
+
+    __slots__ = ("lanes", "anchor_a", "vectors_a", "anchor_b", "vectors_b", "t")
+
+    def __init__(self, lanes, anchor_a, vectors_a, anchor_b, vectors_b, t):
+        self.lanes = lanes  # their positions in (step, pair) order
+        self.anchor_a = anchor_a  # (n, 3)
+        self.vectors_a = vectors_a  # (n, La, 3)
+        self.anchor_b = anchor_b  # (n, 3)
+        self.vectors_b = vectors_b  # (n, Lb, 3)
+        self.t = t  # (n, La + Lb): the warm starts, then the last solve's t*
+
+
+class _Lanes:
+    """The (step, pair) lanes of one state array: its placement, its broad-phase
+    rows, and every kept pair at every step packed by (La, Lb) shape.
+
+    keys[k] = (step, (a, b)) names lane k in (step, pair) order; it is also
+    the lane's key in the warm-start map. (Plain classes, not dataclasses, so
+    that importing the package does not pay for generating their methods.)
+    """
+
+    __slots__ = ("placement", "active", "keys", "margin_sum", "groups")
+
+    def __init__(self, placement: Placement, active, keys, margin_sum: np.ndarray, groups: list[_LaneGroup]):
+        self.placement = placement
+        self.active = active  # broad_phase_rows' kept pairs per step
+        self.keys = keys
+        self.margin_sum = margin_sum  # (n,)
+        self.groups = groups
+
+
+def _pack_lanes(scene: Scene, placement: Placement, active, warm: dict) -> _Lanes:
+    """Read every lane straight from the placement arrays, starting from `warm` where it has the lane."""
+    slots, group_of, shapes = scene._lane_index
+    margins, first, second = scene._bounds_index
+    keys = [(i, pair) for i, row in enumerate(active) for pair in row]
+    step = np.array([i for i, _ in keys], dtype=np.intp)
+    slot = np.array([slots[pair] for _, pair in keys], dtype=np.intp)
+    a, b = first[slot], second[slot]
+    gid = group_of[slot]
+    groups = []
+    for g, (la, lb) in enumerate(shapes):
+        lanes = np.flatnonzero(gid == g)
+        if not len(lanes):
+            continue
+        t = np.full((len(lanes), la + lb), 0.5)
+        for row, k in enumerate(lanes.tolist()):
+            start = warm.get(keys[k])
+            if start is not None:
+                t[row] = start
+        i, ga, gb = step[lanes], a[lanes], b[lanes]
+        groups.append(
+            _LaneGroup(
+                lanes,
+                placement.anchors[i, ga],
+                placement.vectors[i, ga, :la],
+                placement.anchors[i, gb],
+                placement.vectors[i, gb, :lb],
+                t,
+            )
+        )
+    return _Lanes(placement, active, keys, margins[a] + margins[b], groups)
+
+
+def _lanes_at(scene: Scene, states, slack: float, warm: dict) -> _Lanes:
+    """Place `states`, run the broad phase and pack the kept lanes."""
+    placement = place_states(scene, states)
+    return _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
 
 
 def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: int) -> PlacementJacobian:
@@ -443,55 +525,59 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
     return value, worst
 
 
-def _collision_penalty(
-    scene: Scene,
-    states,
-    placement: Placement,
-    active: list[list[tuple[int, int]]],
-    warm: dict,
-    acc: _Accumulator,
-):
-    """Soft collision penalty over all active pairs at every step.
+def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
+    """Soft collision penalty over every lane, solved in one solve_lanes call per (La, Lb) group.
 
-    Returns (value, new_warm, min_clearance, max_violation). The warm-start map
-    is not mutated; the caller merges new_warm once the step is accepted.
+    Returns (value, new_warm, min_clearance, max_violation), summed in (step,
+    pair) order. The warm-start map is not mutated; the caller merges new_warm
+    once the step is accepted. Each group's t becomes its t*, so a later
+    evaluation of the same lanes starts warm from it.
     """
     w_ca = scene.objectives.w_collision
     refs = scene.primitive_refs()
-    value = 0.0
+    placement = lanes.placement
+    n = len(lanes.keys)
+    d_sq = np.empty(n)
+    ok = np.empty(n, dtype=bool)
+    home = np.empty((n, 2), dtype=np.intp)  # lane -> (group, row)
+    solved = []
     new_warm = {}
-    min_clearance = math.inf
+    for g, group in enumerate(lanes.groups):
+        res = solve_lanes(group.anchor_a, group.vectors_a, group.anchor_b, group.vectors_b, group.t, scene.inner)
+        group.t = res.t_star
+        solved.append(res)
+        d_sq[group.lanes] = res.d_sq
+        ok[group.lanes] = res.converged & np.isfinite(res.d_sq)
+        home[group.lanes, 0] = g
+        home[group.lanes, 1] = np.arange(len(group.lanes))
+        new_warm.update(zip([lanes.keys[k] for k in group.lanes.tolist()], res.t_star))
+    if not ok.all():
+        i, (a, b) = lanes.keys[int(np.argmin(ok))]
+        raise SolveError(f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {i + 1}")
+
+    clearance = np.sqrt(d_sq) - lanes.margin_sum
+    min_clearance = float(clearance.min()) if n else math.inf
+    m2 = lanes.margin_sum * lanes.margin_sum
+    value = 0.0
     max_violation = 0.0
-    for i, pairs in enumerate(active):
-        for key in pairs:
-            a, b = key
+    for k in np.flatnonzero(d_sq < m2).tolist():
+        max_violation = max(max_violation, -float(clearance[k]))
+        e = float(d_sq[k]) - float(m2[k])
+        value += w_ca * e * e
+        if acc.need_derivs:
+            i, (a, b) = lanes.keys[k]
+            g, row = home[k].tolist()
             pair = (placement.world(i, a), placement.world(i, b))
-            res = solve_inner(pair, scene.inner, warm.get((i, key)))
-            if not res.converged:
-                raise SolveError(
-                    f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {i + 1}"
-                )
-            new_warm[(i, key)] = res.t_star
-            margin_sum = refs[a].margin + refs[b].margin
-            clearance = math.sqrt(res.d_sq) - margin_sum
-            min_clearance = min(min_clearance, clearance)
-            m2 = margin_sum * margin_sum
-            if res.d_sq >= m2:
-                continue
-            max_violation = max(max_violation, -clearance)
-            e = res.d_sq - m2
-            value += w_ca * e * e
-            if acc.need_derivs:
-                frames = placement.step_frames(i)
-                ja = _ref_jacobian(scene, states[i], refs[a], frames, pair[0].num_params)
-                jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
-                ders = pair_derivatives(pair, (ja, jb), res, scene.inner)
-                acc.grad[i] += (2.0 * w_ca * e) * ders.grad_x
-                # Gauss-Newton model: e < 0 whenever the penalty is active, so
-                # the curvature term e * hess_xx is negative semidefinite and
-                # only degrades the Newton direction; keep the PSD part.
-                block = (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x)
-                acc.add_block(i, i, block)
+            frames = placement.step_frames(i)
+            ja = _ref_jacobian(scene, states[i], refs[a], frames, pair[0].num_params)
+            jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
+            ders = pair_derivatives(pair, (ja, jb), solved[g].lane(row), scene.inner)
+            acc.grad[i] += (2.0 * w_ca * e) * ders.grad_x
+            # Gauss-Newton model: e < 0 whenever the penalty is active, so
+            # the curvature term e * hess_xx is negative semidefinite and
+            # only degrades the Newton direction; keep the PSD part.
+            block = (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x)
+            acc.add_block(i, i, block)
     return value, new_warm, min_clearance, max_violation
 
 
@@ -521,29 +607,33 @@ def collision_penalty(
     warm: Optional[dict] = None,
 ):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    placement = place_states(scene, traj.states)
-    value, _, _, _ = _collision_penalty(scene, traj.states, placement, active, warm or {}, acc)
+    lanes = _pack_lanes(scene, place_states(scene, traj.states), active, warm or {})
+    value, _, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
     return value, acc.grad.ravel(), acc.hess
 
 
-def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float):
+def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float, *, lanes: Optional[_Lanes] = None):
     """Objective over the stacked trajectory.
 
-    The broad phase is recomputed here so the value is exact regardless of how
-    the states moved: culled pairs have bounding separation > slack >= 0, hence
-    positive clearance and zero penalty. Freezing the pair set across a line
-    search would make candidate values incomparable and can cycle.
+    The broad phase is recomputed for every new state array so the value is
+    exact regardless of how the states moved: culled pairs have bounding
+    separation > slack >= 0, hence positive clearance and zero penalty.
+    Freezing the pair set across a line search would make candidate values
+    incomparable and can cycle. `lanes` are those of an earlier evaluation at
+    these same states (the accepted line-search trial's): their placement and
+    rows are reused and the lanes are re-solved warm from their t*, exactly as
+    a fresh evaluation starting from `warm` would solve them.
     """
-    placement = place_states(scene, states)
-    active = broad_phase_rows(scene, placement, slack)
+    if lanes is None:
+        lanes = _lanes_at(scene, states, slack, warm)
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, placement, acc)
+    value += _goal_terms(scene, states, lanes.placement, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
-    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, placement, active, warm, acc)
+    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
     value += col_value
-    return value, acc, new_warm, min_clear, max(max_viol, lim_worst), active
+    return value, acc, new_warm, min_clear, max(max_viol, lim_worst), lanes.active
 
 
 def _to_banded(hess: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -637,10 +727,13 @@ def solve(
     converged = False
     value = math.nan
     min_clear = math.inf
+    # The lanes of `states`, handed from the accepted trial to the next
+    # evaluation at the same states, so each accepted state is placed once.
+    lanes = None
 
     for _ in range(s.max_outer_iters):
         value, acc, new_warm, min_clear, max_viol, active = _evaluate(
-            scene, states, warm, True, s.broad_phase_slack
+            scene, states, warm, True, s.broad_phase_slack, lanes=lanes
         )
         warm.update(new_warm)
         grad_flat = acc.grad.ravel()
@@ -680,11 +773,12 @@ def solve(
             alpha = 1.0
             for _ in range(s.ls_max_halvings):
                 cand = states + alpha * direction.reshape(states.shape)
+                cand_lanes = _lanes_at(scene, cand, s.broad_phase_slack, warm)
                 cand_value, _, cand_warm, _, _, _ = _evaluate(
-                    scene, cand, warm, False, s.broad_phase_slack
+                    scene, cand, warm, False, s.broad_phase_slack, lanes=cand_lanes
                 )
                 if cand_value <= value + s.ls_sufficient_decrease * alpha * slope:
-                    states = cand
+                    states, lanes = cand, cand_lanes
                     warm.update(cand_warm)
                     accepted = True
                     break
@@ -711,7 +805,7 @@ def solve(
             converged, reason = True, "ftol"
             break
 
-    final_value, _, _, final_clear, _, _ = _evaluate(scene, states, warm, False, s.broad_phase_slack)
+    final_value, _, _, final_clear, _, _ = _evaluate(scene, states, warm, False, s.broad_phase_slack, lanes=lanes)
     return Trajectory(states, scene.h), SolveReport(history, converged, reason, final_value, final_clear)
 
 
@@ -729,8 +823,12 @@ def broad_phase_rows(scene: Scene, placement: Placement, slack: float) -> list[l
     radii = 0.5 * np.sqrt((vectors * vectors).sum(axis=3)).sum(axis=2) + margins
     gap = centers[:, first] - centers[:, second]
     reach = radii[:, first] + radii[:, second] + slack
-    kept = np.sqrt((gap * gap).sum(axis=2)) <= reach
-    return [[pairs[c] for c in np.flatnonzero(row)] for row in kept]
+    # A NaN distance or reach keeps the pair, so the inner solve reports it.
+    kept = ~(np.sqrt((gap * gap).sum(axis=2)) > reach)
+    rows = [[] for _ in range(len(kept))]
+    for i, c in zip(*(index.tolist() for index in np.nonzero(kept))):
+        rows[i].append(pairs[c])
+    return rows
 
 
 @dataclass
@@ -756,8 +854,10 @@ class ValidationReport:
 
     @property
     def worst_clearance(self) -> float:
-        finite = [c for c in self.min_clearance_per_step if math.isfinite(c)]
-        return min(finite) if finite else math.inf
+        """The lowest step clearance; NaN if any step's is NaN, inf if no step has a pair."""
+        if any(math.isnan(c) for c in self.min_clearance_per_step):
+            return math.nan
+        return min(self.min_clearance_per_step, default=math.inf)
 
 
 def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
@@ -779,8 +879,9 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
         for a, b in scene.candidate_pairs():
             lower_sq, _ = certified_distance((placement.world(i, a), placement.world(i, b)), scene.inner)
             clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
-            step_min = min(step_min, clearance)
-            if clearance < 0.0:
+            if clearance < step_min or math.isnan(clearance):
+                step_min = clearance
+            if not clearance >= 0.0:  # a NaN clearance is a violation too
                 violations.append(ClearanceRecord(i + 1, (refs[a].name, refs[b].name), clearance))
         per_step.append(step_min)
         for r, robot in enumerate(scene.robots):

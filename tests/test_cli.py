@@ -66,6 +66,19 @@ def test_plan_input_errors(tmp_path, capsys):
     ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err
+    # a NaN or an infinity in an array field is an input error naming the field
+    nan_p = json.loads(scene_text("two_sphere_swap"))
+    nan_p["robots"][0]["primitives"][0]["p"] = [math.nan, 0, 0]
+    inf_base = json.loads(scene_text("minimal"))
+    inf_base["robots"][0]["base"]["translation"] = [math.inf, 0.0, 0.0]
+    for name, doc, named in (("nan_p", nan_p, "primitive 0: p"), ("inf_base", inf_base, "base: translation")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "-o", out]) == 1
+        assert named in capsys.readouterr().err
+    nan_target = 'objectives.state_targets=[{"robot":0,"value":[NaN,0,0,0,0,0],"step":2}]'
+    assert main(["plan", _scene_path("minimal"), "-o", out, "--set", nan_target]) == 1
+    assert "objectives.state_targets[0]: value" in capsys.readouterr().err
 
 
 def test_plan_report_exports_iteration_stats_as_strict_json(tmp_path):

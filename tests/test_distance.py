@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
@@ -269,3 +271,20 @@ def test_certified_distance_holds_without_inner_convergence():
     # the active-set polish closes the gap from most one-step starts (5 of
     # these 500 stay open; 60 if released coordinates leave the wrong way)
     assert open_gaps <= 10
+
+
+@pytest.mark.parametrize("dim_a", [0, 1, 2, 3])
+def test_certified_distance_of_a_non_finite_pair_is_a_collision(dim_a):
+    rng = np.random.default_rng(dim_a)
+    other = WorldPrimitive(np.zeros(3), rng.normal(size=(1, 3)), 0.1)
+    vectors = rng.normal(size=(dim_a, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        anchor = np.array([bad, 0.0, 0.0])
+        assert certified_distance((WorldPrimitive(anchor, vectors, 0.1), other)) == (0.0, math.inf)
+        assert certified_distance((other, WorldPrimitive(anchor, vectors, 0.1))) == (0.0, math.inf)
+        if dim_a:
+            spoiled = vectors.copy()
+            spoiled[-1, 1] = bad
+            assert certified_distance((WorldPrimitive(np.zeros(3), spoiled, 0.1), other)) == (0.0, math.inf)
+    sphere = WorldPrimitive(np.array([np.nan, 0.0, 0.0]), np.zeros((0, 3)), 0.1)
+    assert certified_distance((sphere, WorldPrimitive(np.zeros(3), np.zeros((0, 3)), 0.1))) == (0.0, math.inf)

@@ -1,0 +1,226 @@
+"""The lane kernel against the scalar inner solver it replaces in the planner.
+
+`solve_lanes` solves many pairs of one (La, Lb) shape at once and must give
+every lane exactly what `solve_inner` gives that pair: the same t*, d_sq,
+closest points, step count and convergence flag, to the bit. The planner's
+collision term solves all (step, pair) lanes of an evaluation with it; the
+reference below is the per-lane loop over `solve_inner` that the planner ran
+before, and `_evaluate` must match it bitwise through a solve, including the
+evaluations that reuse the lanes of an accepted line-search trial.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from proxopt import distance, trajopt
+from proxopt.distance import DEFAULT_INNER, InnerSettings, solve_inner, solve_lanes
+from proxopt.pairs import KIND_PAIRS, place_pair, random_pair
+from proxopt.scene_io import load_scene
+from proxopt.sensitivity import pair_derivatives
+from proxopt.trajopt import (
+    SolveError,
+    _Accumulator,
+    _goal_terms,
+    _limit_penalty,
+    _ref_jacobian,
+    _smoothness,
+    broad_phase_rows,
+    place_states,
+    solve,
+)
+from conftest import scene_text
+
+
+def _lanes(world_pairs, starts):
+    n = len(world_pairs)
+    la, lb = world_pairs[0][0].num_params, world_pairs[0][1].num_params
+    starts = [np.full(la + lb, 0.5) if s is None else s for s in starts]
+    return (
+        np.array([a.anchor for a, _ in world_pairs]),
+        np.array([a.vectors for a, _ in world_pairs]).reshape(n, la, 3),
+        np.array([b.anchor for _, b in world_pairs]),
+        np.array([b.vectors for _, b in world_pairs]).reshape(n, lb, 3),
+        np.array(starts).reshape(n, la + lb),
+    )
+
+
+def _assert_lanes_equal_scalar(world_pairs, starts, settings):
+    res = solve_lanes(*_lanes(world_pairs, starts), settings)
+    for k, (pair, start) in enumerate(zip(world_pairs, starts)):
+        ref = solve_inner(pair, settings, start)
+        lane = res.lane(k)
+        assert lane.d_sq == ref.d_sq
+        assert np.array_equal(lane.t_star, ref.t_star)
+        assert np.array_equal(lane.closest_a, ref.closest_a)
+        assert np.array_equal(lane.closest_b, ref.closest_b)
+        assert lane.newton_steps == ref.newton_steps
+        assert lane.converged == ref.converged
+    return res
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_solve_lanes_equals_solve_inner_bitwise(kinds, monkeypatch):
+    rng = np.random.default_rng([7, KIND_PAIRS.index(kinds)])
+    world = [place_pair(*random_pair(kinds, rng)) for _ in range(120)]
+    dim = world[0][0].num_params + world[0][1].num_params
+    cold = [None] * len(world)
+    # warm starts far outside the unit box overshoot barrier kinks, which
+    # sends lanes through the exact line search
+    warm = [rng.uniform(-3.0, 4.0, dim) for _ in world]
+    near = [solve_inner(pair).t_star + rng.normal(0.0, 1e-3, dim) for pair in world]
+
+    searches = []
+    original = distance._exact_line_search
+
+    def counted(*args):
+        searches.append(1)
+        return original(*args)
+
+    for starts in (cold, warm, near):
+        monkeypatch.setattr(distance, "_exact_line_search", counted)
+        res = solve_lanes(*_lanes(world, starts), DEFAULT_INNER)
+        monkeypatch.setattr(distance, "_exact_line_search", original)
+        _assert_lanes_equal_scalar(world, starts, DEFAULT_INNER)
+        assert res.converged.all()
+        if dim == 0:
+            assert not res.newton_steps.any()
+    if dim:
+        assert searches  # the kernel took the line-search branch
+    # stopped by max_iters: some lanes end unconverged, exactly as the scalar loop does
+    res = _assert_lanes_equal_scalar(world, warm, InnerSettings(max_iters=1))
+    if dim:
+        assert not res.converged.all()
+        assert (res.newton_steps <= 1).all()
+    # a tolerance below the gradient's rounding noise: lanes end by stalling
+    for starts in (cold, warm):
+        res = _assert_lanes_equal_scalar(world, starts, InnerSettings(grad_tol=1e-300))
+        assert res.converged.all()
+
+
+def test_solve_lanes_handles_empty_and_single_lanes():
+    rng = np.random.default_rng(3)
+    for kinds in KIND_PAIRS:
+        pair = place_pair(*random_pair(kinds, rng))
+        _assert_lanes_equal_scalar([pair], [None], DEFAULT_INNER)
+        dim = pair[0].num_params + pair[1].num_params
+        res = solve_lanes(
+            np.zeros((0, 3)), np.zeros((0, pair[0].num_params, 3)),
+            np.zeros((0, 3)), np.zeros((0, pair[1].num_params, 3)),
+            np.zeros((0, dim)),
+        )
+        assert res.t_star.shape == (0, dim) and res.d_sq.shape == (0,)
+
+
+def test_solve_lanes_reports_non_finite_lanes_as_failed():
+    rng = np.random.default_rng(4)
+    for kinds in KIND_PAIRS:
+        world = [place_pair(*random_pair(kinds, rng)) for _ in range(3)]
+        a, va, b, vb, starts = _lanes(world, [None] * 3)
+        a[1, 0] = math.nan
+        bad = [1]
+        if va.shape[1]:
+            va[2, 0, 0] = math.inf
+            bad.append(2)
+        res = solve_lanes(a, va, b, vb, starts)
+        ok = res.converged & np.isfinite(res.d_sq)
+        assert ok.tolist() == [k not in bad for k in range(3)]
+
+
+# -- the planner's collision term against the per-lane scalar loop ------------
+
+
+def _reference_collision_penalty(scene, states, placement, active, warm, acc):
+    """The collision term as one solve_inner call per (step, pair), in (step, pair) order."""
+    w_ca = scene.objectives.w_collision
+    refs = scene.primitive_refs()
+    value = 0.0
+    new_warm = {}
+    min_clearance = math.inf
+    max_violation = 0.0
+    for i, pairs in enumerate(active):
+        for key in pairs:
+            a, b = key
+            pair = (placement.world(i, a), placement.world(i, b))
+            res = solve_inner(pair, scene.inner, warm.get((i, key)))
+            if not res.converged:
+                raise SolveError(
+                    f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {i + 1}"
+                )
+            new_warm[(i, key)] = res.t_star
+            margin_sum = refs[a].margin + refs[b].margin
+            clearance = math.sqrt(res.d_sq) - margin_sum
+            min_clearance = min(min_clearance, clearance)
+            m2 = margin_sum * margin_sum
+            if res.d_sq >= m2:
+                continue
+            max_violation = max(max_violation, -clearance)
+            e = res.d_sq - m2
+            value += w_ca * e * e
+            if acc.need_derivs:
+                frames = placement.step_frames(i)
+                ja = _ref_jacobian(scene, states[i], refs[a], frames, pair[0].num_params)
+                jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
+                ders = pair_derivatives(pair, (ja, jb), res, scene.inner)
+                acc.grad[i] += (2.0 * w_ca * e) * ders.grad_x
+                acc.add_block(i, i, (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x))
+    return value, new_warm, min_clearance, max_violation
+
+
+def _reference_evaluate(scene, states, warm, need_derivs, slack):
+    placement = place_states(scene, states)
+    active = broad_phase_rows(scene, placement, slack)
+    acc = _Accumulator(len(states), states.shape[1], need_derivs)
+    value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
+    value += _goal_terms(scene, states, placement, acc)
+    lim_value, lim_worst = _limit_penalty(scene, states, acc)
+    value += lim_value
+    col = _reference_collision_penalty(scene, states, placement, active, warm, acc)
+    value += col[0]
+    return value, acc, col[1], col[2], max(col[3], lim_worst), active
+
+
+@pytest.mark.parametrize("name,iters", [("arm7_box", 6), ("two_box_swap", 4), ("two_sphere_swap", 4)])
+def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeypatch):
+    # Every _evaluate call of a short solve, including those that reuse the
+    # accepted trial's lanes, is checked against a fresh per-lane evaluation
+    # from a snapshot of the warm-start map it was given.
+    scene = load_scene(scene_text(name))
+    scene.outer.max_outer_iters = iters
+    original = trajopt._evaluate
+    seen = {"derivs": 0, "handed": 0}
+
+    def checked(scene, states, warm, need_derivs, slack, **kwargs):
+        snapshot = dict(warm)
+        got = original(scene, states, warm, need_derivs, slack, **kwargs)
+        ref = _reference_evaluate(scene, states, snapshot, need_derivs, slack)
+        assert got[0] == ref[0]
+        if need_derivs:
+            assert np.array_equal(got[1].grad, ref[1].grad)
+            assert np.array_equal(got[1].hess, ref[1].hess)
+            seen["derivs"] += 1
+            seen["handed"] += kwargs.get("lanes") is not None
+        assert got[2].keys() == ref[2].keys()
+        assert all(np.array_equal(got[2][key], ref[2][key]) for key in ref[2])
+        assert got[3:] == ref[3:]
+        return got
+
+    monkeypatch.setattr(trajopt, "_evaluate", checked)
+    _, report = solve(scene)
+    assert report.num_iterations == iters or report.converged
+    # every derivative evaluation after the first reuses the accepted trial's lanes
+    assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"] - 1
+
+
+def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
+    scene = load_scene(scene_text("two_box_swap"))
+    scene = dataclasses.replace(scene, inner=InnerSettings(max_iters=1))
+    states = trajopt.default_trajectory(scene).states
+    slack = scene.outer.broad_phase_slack
+    with pytest.raises(SolveError) as ref:
+        _reference_evaluate(scene, states, {}, False, slack)
+    with pytest.raises(SolveError) as got:
+        trajopt._evaluate(scene, states, {}, False, slack)
+    assert str(got.value) == str(ref.value)

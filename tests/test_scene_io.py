@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,31 @@ def test_export_validates_shape_and_format():
     traj = Trajectory(scene.initial_row()[None, :], scene.h)
     with pytest.raises(ValueError):
         export_trajectory(traj, scene, "yaml")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, [1.0]])
+def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
+    # (path to the array in arm7_box, the array with one bad entry, what the error names)
+    cases = [
+        (("robots", 0, "base", "translation"), [bad, 0, 0], "base: translation"),
+        (("robots", 0, "base", "rotation"), [0, bad, 0], "base: rotation"),
+        (("robots", 0, "joints", 1, "axis"), [0, 0, bad], "joint 1: axis"),
+        (("robots", 0, "primitives", 0, "p"), [bad, 0, 0], "primitive 0: p"),
+        (("robots", 0, "primitives", 1, "v"), [[0, bad, 0.2]], "primitive 1: v"),
+        (("robots", 0, "q"), [0, 0, bad, 0, 0, 0, 0], "q"),
+        (("obstacles", 0, "p"), [bad, 0, 0], "obstacles[0]: p"),
+        (("objectives", "ee_targets", 0, "local"), [bad, 0, 0], "ee_targets[0]: local"),
+        (("objectives", "ee_targets", 0, "target"), [0, bad, 0], "ee_targets[0]: target"),
+    ]
+    for path, value, named in cases:
+        doc = json.loads(scene_text("arm7_box"))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SceneError, match=re.escape(named)):
+            scene_from_dict(doc)
+    doc = json.loads(scene_text("arm7_box"))
+    doc["objectives"]["state_targets"] = [{"robot": 0, "step": 2, "value": [0] * 12 + [bad]}]
+    with pytest.raises(SceneError, match=re.escape("state_targets[0]: value")):
+        scene_from_dict(doc)

@@ -3,16 +3,20 @@
 The tracer wraps proxopt attributes by name (perfbench/spans.py). A traced run
 drops its per-layer metrics when one of those names is gone, so every name it
 lists must exist on the imported module. The benchmark's output check calls
-kinematics' single-state placement functions, so it must still run.
+kinematics' single-state placement functions, so it must still run. A traced
+plan (the tracer installed, then a solve, a validate and the per-layer
+metrics) must complete with finite metrics and the committed fingerprint.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from proxopt.scene_io import load_scene
@@ -61,3 +65,32 @@ def test_benchmark_exact_clearance_runs_on_default_trajectories(name):
     exact = workloads.exact_min_clearance(scene, traj.states)
     assert math.isfinite(exact)
     assert exact >= validate(scene, traj).worst_clearance - 1e-9
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, loaded from its file without adding perfbench to sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_box_swap_plan_runs_and_matches_its_fingerprint():
+    # the benchmark's traced run: every entry point wrapped, one solve + validate
+    spans = _perfbench_spans()
+    modules = {name: importlib.import_module(name) for name in {m for m, _, _ in spans.ENTRY_POINTS}}
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        scene = modules["proxopt.scene_io"].load_scene((SPANS.parent / "scenes" / "two_box_swap.json").read_text())
+        traj, report = modules["proxopt.trajopt"].solve(scene)
+        modules["proxopt.trajopt"].validate(scene, traj)
+    finally:
+        tracer.uninstall()
+    values, not_measured = spans.layer_metrics(tracer, 1, len(scene.candidate_pairs()))
+    assert not_measured == []
+    assert values and all(math.isfinite(v) for v in values.values())
+    assert values["trajopt.evaluate.calls"] >= report.num_iterations
+    fingerprint = json.loads((SPANS.parent / "fingerprints" / "box_swap_plan.json").read_text())
+    assert report.num_iterations == fingerprint["outer_iterations"] == 9
+    assert np.abs(traj.states - np.array(fingerprint["states"])).max() <= 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -432,3 +433,37 @@ def test_solve_respects_max_iters():
     assert not report.converged
     assert report.reason == "max_iters"
     assert report.num_iterations == 1
+
+
+def _nan_sphere_swap():
+    """two_sphere_swap with robot a's sphere anchored at (NaN, 0, 0), built past the loader."""
+    scene = load_scene(scene_text("two_sphere_swap"))
+    robot = scene.robots[0]
+    prim = dataclasses.replace(robot.primitives[0], anchor=np.array([math.nan, 0.0, 0.0]))
+    return dataclasses.replace(scene, robots=[dataclasses.replace(robot, primitives=(prim,)), scene.robots[1]])
+
+
+def test_nan_pair_is_a_collision_not_a_clear_plan():
+    scene = _nan_sphere_swap()
+    traj = default_trajectory(scene)
+    report = validate(scene, traj)
+    # every step's only pair is certified as colliding: lower bound 0 on d^2
+    assert len(report.violations) == scene.num_steps
+    assert report.min_clearance_per_step == [-0.5] * scene.num_steps
+    assert report.worst_clearance == -0.5
+    # the broad phase keeps the pair instead of culling it on a NaN comparison
+    rows = broad_phase_rows(scene, place_states(scene, traj.states), scene.outer.broad_phase_slack)
+    assert all(row == [(0, 1)] for row in rows)
+    with pytest.raises(trajopt.SolveError, match="a_sphere:b_sphere at step 1"):
+        solve(scene)
+
+
+def test_validate_counts_a_nan_clearance_as_a_violation():
+    scene = _two_sphere_scene([0, 0, 0], [2, 0, 0], num_steps=2)
+    robot = scene.robots[0]
+    prim = dataclasses.replace(robot.primitives[0], margin=math.nan)
+    scene = dataclasses.replace(scene, robots=[dataclasses.replace(robot, primitives=(prim,)), scene.robots[1]])
+    report = validate(scene, Trajectory(np.tile(scene.initial_row(), (2, 1)), 0.1))
+    assert len(report.violations) == 2
+    assert all(math.isnan(c) for c in report.min_clearance_per_step)
+    assert math.isnan(report.worst_clearance)
