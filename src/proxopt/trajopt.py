@@ -241,7 +241,8 @@ class Placement:
     anchors[i, p] is ref p's world anchor at step i and vectors[i, p, :L] its
     L world vectors (rows past L are zero). frames[r] holds robot r's link
     frames with a leading step axis. `world(i, p)` is the WorldPrimitive view
-    that the inner solver takes; it is built only for the refs asked for.
+    that certified_distance and the pair derivatives take; it is built only
+    for the refs asked for.
     """
 
     def __init__(self, scene: Scene, anchors: np.ndarray, vectors: np.ndarray, frames: list[_Frames]):
