@@ -233,8 +233,9 @@ def fk_jacobian(
     in_base = frames.rotations[0].T @ (p_world - frames.origins[0])
     for m in range(3):
         jac[:, 3 + m] = dr[m] @ in_base
-    for j in _ancestor_joints(robot, link):
-        jac[:, 6 + j] = np.cross(frames.joint_axes[j], p_world - frames.joint_origins[j])
+    js = _ancestor_joints(robot, link)
+    if js:
+        jac[:, [6 + j for j in js]] = np.cross(frames.joint_axes[js], p_world - frames.joint_origins[js]).T
     return jac
 
 
@@ -255,8 +256,9 @@ def fk_vector_jacobian(
     in_base = frames.rotations[0].T @ v_world
     for m in range(3):
         jac[:, 3 + m] = dr[m] @ in_base
-    for j in _ancestor_joints(robot, link):
-        jac[:, 6 + j] = np.cross(frames.joint_axes[j], v_world)
+    js = _ancestor_joints(robot, link)
+    if js:
+        jac[:, [6 + j for j in js]] = np.cross(frames.joint_axes[js], v_world).T
     return jac
 
 

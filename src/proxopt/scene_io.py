@@ -66,17 +66,30 @@ def _number(value, name: str, integer: bool = False):
     return int(value) if integer else number
 
 
+def _holds_bool(value) -> bool:
+    """Whether a (possibly nested) list holds a boolean anywhere."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _array(value, name: str, size: Optional[int] = None) -> np.ndarray:
     """An array field as a float array of finite numbers, with `size` entries if given.
 
     Anything else (a string, null, a boolean, a ragged list, NaN, an infinity
-    or the wrong length) raises SceneError naming the field.
+    or the wrong length) raises SceneError naming the field. A boolean mixed
+    into numbers counts too: np.asarray would turn [true, 0, 0] into [1, 0, 0].
     """
     try:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         array = None
-    if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    if (
+        array is None
+        or array.dtype.kind not in "iuf"
+        or _holds_bool(value)
+        or not np.isfinite(array).all()
+    ):
         raise SceneError(f"{name} must be finite numbers, got {json.dumps(value, default=repr)}")
     if size is not None and array.shape != (size,):
         raise SceneError(f"{name} must have {size} entries, got {json.dumps(value, default=repr)}")

@@ -393,21 +393,32 @@ def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list
 
 
 class _Accumulator:
-    """Flat gradient and dense Hessian over the stacked trajectory (or value only)."""
+    """Flat gradient and upper-banded Hessian over the stacked trajectory (or value only).
+
+    Every term couples steps at most two apart, so the Hessian's upper band
+    of `bandwidth` = 3·d − 1 diagonals (at most N·d − 1) holds all of it.
+    `band` stores it as solveh_banded takes it: entry (r, c), r <= c, is
+    band[bandwidth + r − c, c].
+    """
 
     def __init__(self, num_steps: int, dim: int, need_derivs: bool):
         self.num_steps = num_steps
         self.dim = dim
+        self.bandwidth = max(min(3 * dim, num_steps * dim) - 1, 0)
         self.grad = np.zeros((num_steps, dim)) if need_derivs else None
-        self.hess = np.zeros((num_steps * dim, num_steps * dim)) if need_derivs else None
+        self.band = np.zeros((self.bandwidth + 1, num_steps * dim)) if need_derivs else None
 
     @property
     def need_derivs(self) -> bool:
         return self.grad is not None
 
     def add_block(self, step_a: int, step_b: int, block: np.ndarray):
+        """Add the (d, d) block of steps (step_a, step_b); only its upper-triangle entries are kept."""
+        if step_a > step_b:
+            return
         d = self.dim
-        self.hess[step_a * d : (step_a + 1) * d, step_b * d : (step_b + 1) * d] += block
+        p, q = np.triu_indices(d) if step_a == step_b else np.indices((d, d)).reshape(2, -1)
+        self.band[self.bandwidth + (step_a - step_b) * d + p - q, step_b * d + q] += block[p, q]
 
 
 def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
@@ -418,14 +429,18 @@ def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
     acc_rows = (states[2:] - 2.0 * states[1:-1] + states[:-2]) * inv_h2
     value = w_s * float((acc_rows * acc_rows).sum())
     if acc.need_derivs:
+        d, u = acc.dim, acc.bandwidth
         coeffs = (inv_h2, -2.0 * inv_h2, inv_h2)  # weights of x_i, x_{i-1}, x_{i-2}
-        eye = np.eye(acc.dim)
-        for i in range(2, n):
-            r = acc_rows[i - 2]
-            for da, ca in zip((0, -1, -2), coeffs):
-                acc.grad[i + da] += 2.0 * w_s * ca * r
-                for db, cb in zip((0, -1, -2), coeffs):
-                    acc.add_block(i + da, i + db, (2.0 * w_s * ca * cb) * eye)
+        # Stencil i adds (2·w·ca·cb)·I to the block of steps (i + da, i + db).
+        # Its upper part is one stretch of band row u − (db − da)·d, so each
+        # (da, db) adds to all stencils at once; in this loop order every
+        # gradient and band entry gets its terms in ascending i, as a loop
+        # over the stencils would add them.
+        for da, ca in zip((0, -1, -2), coeffs):
+            acc.grad[2 + da : n + da] += (2.0 * w_s * ca) * acc_rows
+            for db, cb in zip((0, -1, -2), coeffs):
+                if da <= db:
+                    acc.band[u - (db - da) * d, (2 + db) * d : (n + db) * d] += 2.0 * w_s * ca * cb
     return value
 
 
@@ -468,7 +483,7 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
     Each stencil is evaluated at all steps at once, summing its terms in
     stencil order. The entries that violate a bound are then added in step
     order: np.add.accumulate sums the value sequentially, and each gradient or
-    Hessian element receives its contributions in increasing step order, so
+    band element receives its contributions in increasing step order, so
     the sums round exactly as a loop over every entry would.
     """
     w = scene.objectives.w_limit
@@ -522,7 +537,9 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
                         acc.grad[steps + d, col] += slope * c
                     for da, ca in stencil:
                         for db, cb in stencil:
-                            acc.hess[(steps + da) * dim + col, (steps + db) * dim + col] += w * 2.0 * ca * cb
+                            if da <= db:
+                                row = acc.bandwidth + (da - db) * dim
+                                acc.band[row, (steps + db) * dim + col] += w * 2.0 * ca * cb
     return value, worst
 
 
@@ -582,23 +599,33 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
     return value, new_warm, min_clearance, max_violation
 
 
+def _dense_hessian(acc: _Accumulator) -> np.ndarray:
+    """The dense symmetric Hessian whose upper band `acc.band` holds."""
+    n, u = acc.band.shape[1], acc.bandwidth
+    hess = np.zeros((n, n))
+    for k in range(min(u, n - 1) + 1):
+        r = np.arange(n - k)
+        hess[r, r + k] = hess[r + k, r] = acc.band[u - k, k:]
+    return hess
+
+
 def smoothness_term(traj: Trajectory, w_smooth: float):
     """Acceleration penalty with the three-point stencil; quadratic, constant Hessian."""
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     value = _smoothness(traj.states, traj.h, w_smooth, acc)
-    return value, acc.grad.ravel(), acc.hess
+    return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
 def goal_terms(traj: Trajectory, scene: Scene):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     value = _goal_terms(scene, traj.states, place_states(scene, traj.states), acc)
-    return value, acc.grad.ravel(), acc.hess
+    return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
 def limit_penalty(traj: Trajectory, scene: Scene):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     value, _ = _limit_penalty(scene, traj.states, acc)
-    return value, acc.grad.ravel(), acc.hess
+    return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
 def collision_penalty(
@@ -610,7 +637,7 @@ def collision_penalty(
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     lanes = _pack_lanes(scene, place_states(scene, traj.states), active, warm or {})
     value, _, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
-    return value, acc.grad.ravel(), acc.hess
+    return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
 def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float, *, lanes: Optional[_Lanes] = None):
@@ -637,12 +664,10 @@ def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float, *, la
     return value, acc, new_warm, min_clear, max(max_viol, lim_worst), lanes.active
 
 
-def _to_banded(hess: np.ndarray, bandwidth: int) -> np.ndarray:
-    n = hess.shape[0]
-    bw = min(bandwidth, n - 1)
-    ab = np.zeros((bw + 1, n))
-    for k in range(bw + 1):
-        ab[bw - k, k:] = np.diagonal(hess, k)
+def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
+    """The damped Newton matrix for solveh_banded: a copy of the assembled band plus lam on its diagonal."""
+    ab = band.copy()
+    ab[-1] += lam
     return ab
 
 
@@ -720,7 +745,6 @@ def solve(
         raise ValueError("initial trajectory dimensions do not match the scene")
 
     n_flat = states.size
-    bandwidth = 3 * scene.dim_total - 1
     lam = s.damping_init
     warm: dict = {}
     history: list[IterationStats] = []
@@ -749,10 +773,8 @@ def solve(
         accepted = False
         alpha = 0.0
         while not accepted:
-            ab = _to_banded(acc.hess, bandwidth)
-            ab[-1, :] += lam
             try:
-                direction = solveh_banded(ab, -grad_flat, lower=False)
+                direction = solveh_banded(_to_banded(acc.band, lam), -grad_flat, lower=False)
             except np.linalg.LinAlgError:
                 lam *= s.damping_factor
                 if lam > s.damping_max:

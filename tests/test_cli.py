@@ -71,7 +71,14 @@ def test_plan_input_errors(tmp_path, capsys):
     nan_p["robots"][0]["primitives"][0]["p"] = [math.nan, 0, 0]
     inf_base = json.loads(scene_text("minimal"))
     inf_base["robots"][0]["base"]["translation"] = [math.inf, 0.0, 0.0]
-    for name, doc, named in (("nan_p", nan_p, "primitive 0: p"), ("inf_base", inf_base, "base: translation")):
+    # so is a boolean mixed into numbers, which would otherwise load as 0 or 1
+    bool_p = json.loads(scene_text("two_sphere_swap"))
+    bool_p["robots"][0]["primitives"][0]["p"] = [True, 0, 0]
+    for name, doc, named in (
+        ("nan_p", nan_p, "primitive 0: p"),
+        ("inf_base", inf_base, "base: translation"),
+        ("bool_p", bool_p, "primitive 0: p"),
+    ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["plan", str(path), "-o", out]) == 1

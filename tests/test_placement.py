@@ -2,17 +2,31 @@
 
 `link_frames` and `place_states` place all N steps in one array pass, the
 broad phase tests all steps at once and `limit_penalty` evaluates each stencil
-over all steps. The reference functions below do the same work one step and
-one entry at a time, as the solver did before the batched path existed.
+over all steps. The FK Jacobians take one cross product over all ancestor
+joints, and the smoothness and limit terms add straight into the Hessian's
+upper band. The reference functions below do the same work one step, one
+joint, one block and one entry at a time, as the solver did before, on a
+dense Hessian.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from proxopt import trajopt
-from proxopt.kinematics import Joint, LimitSpec, RobotModel, RobotState, link_frames, place_on_robot
+from proxopt.kinematics import (
+    Joint,
+    LimitSpec,
+    RobotModel,
+    RobotState,
+    fk_jacobian,
+    fk_vector_jacobian,
+    link_frames,
+    place_on_robot,
+)
+from proxopt.poses import euler_matrix_derivatives
 from proxopt.poses import Pose, axis_angle_matrix
 from proxopt.primitives import Kind, Primitive, WorldPrimitive, bounding_center_radius, place
 from proxopt.scene_io import load_scene
@@ -124,6 +138,66 @@ def _reference_limit_penalty(scene, states, grad, hess):
                             blk[col, col] = w * ddphi * ca * cb
                             hess[(i + da) * dim : (i + da + 1) * dim, (i + db) * dim : (i + db + 1) * dim] += blk
     return value
+
+
+def _reference_smoothness(states, h, w_s, grad, hess):
+    """The smoothness term's derivatives one stencil and one (d, d) block at a time."""
+    n, dim = states.shape
+    if n < 3:
+        return
+    inv_h2 = 1.0 / h**2
+    acc_rows = (states[2:] - 2.0 * states[1:-1] + states[:-2]) * inv_h2
+    coeffs = (inv_h2, -2.0 * inv_h2, inv_h2)
+    eye = np.eye(dim)
+    for i in range(2, n):
+        r = acc_rows[i - 2]
+        for da, ca in zip((0, -1, -2), coeffs):
+            grad[i + da] += 2.0 * w_s * ca * r
+            for db, cb in zip((0, -1, -2), coeffs):
+                rows = slice((i + da) * dim, (i + da + 1) * dim)
+                cols = slice((i + db) * dim, (i + db + 1) * dim)
+                hess[rows, cols] += (2.0 * w_s * ca * cb) * eye
+
+
+def _upper_band(hess, bandwidth):
+    """The upper band of a dense matrix in solveh_banded's layout (entries past the matrix are 0)."""
+    n = hess.shape[0]
+    band = np.zeros((bandwidth + 1, n))
+    for k in range(min(bandwidth, n - 1) + 1):
+        band[bandwidth - k, k:] = np.diagonal(hess, k)
+    return band
+
+
+def _seeded_accumulator(num_steps, dim, seed):
+    """An accumulator whose gradient and band hold random values, plus the dense
+    matrix of the same upper entries, so that the order of later additions
+    shows in the sums."""
+    rng = np.random.default_rng(seed)
+    acc = trajopt._Accumulator(num_steps, dim, True)
+    acc.grad[:] = rng.normal(size=acc.grad.shape)
+    hess = rng.normal(size=(num_steps * dim, num_steps * dim))
+    acc.band[:] = _upper_band(hess, acc.bandwidth)
+    assert acc.band.any()
+    return acc, acc.grad.copy(), hess
+
+
+def _reference_fk_jacobians(robot, state, link, local, frames):
+    """fk_jacobian and fk_vector_jacobian of `local`, one cross product per ancestor joint."""
+    p_world = frames.origins[link] + frames.rotations[link] @ local
+    v_world = frames.rotations[link] @ local
+    dr = euler_matrix_derivatives(state.base.rotation)
+    point, vector = np.zeros((3, robot.dim)), np.zeros((3, robot.dim))
+    point[:, :3] = np.eye(3)
+    for m in range(3):
+        point[:, 3 + m] = dr[m] @ (frames.rotations[0].T @ (p_world - frames.origins[0]))
+        vector[:, 3 + m] = dr[m] @ (frames.rotations[0].T @ v_world)
+    j = link
+    while j > 0:
+        j -= 1
+        point[:, 6 + j] = np.cross(frames.joint_axes[j], p_world - frames.joint_origins[j])
+        vector[:, 6 + j] = np.cross(frames.joint_axes[j], v_world)
+        j = robot.joints[j].parent
+    return point, vector
 
 
 # -- scenes ------------------------------------------------------------------
@@ -278,17 +352,64 @@ def test_batched_limit_penalty_is_bitwise_the_per_entry_loop(name):
 @pytest.mark.parametrize("num_steps", [1, 2, 3, 50])
 def test_limit_penalty_adds_in_the_per_entry_order(num_steps):
     # the terms before the limit term leave arbitrary values in the gradient
-    # and the Hessian, so the order of the additions shows in the result
+    # and the band, so the order of the additions shows in the result
     scene = _two_robot_scene(num_steps)
     scene.h = 0.037
     states = _random_states(scene, 9, num_steps) * 2.0
-    rng = np.random.default_rng(10)
-    acc = trajopt._Accumulator(num_steps, states.shape[1], True)
-    acc.grad[:] = rng.normal(size=acc.grad.shape)
-    acc.hess[:] = rng.normal(size=acc.hess.shape)
-    ref_grad, ref_hess = acc.grad.copy(), acc.hess.copy()
+    acc, ref_grad, ref_hess = _seeded_accumulator(num_steps, states.shape[1], 10)
     value, worst = trajopt._limit_penalty(scene, states, acc)
     assert value == _reference_limit_penalty(scene, states, ref_grad, ref_hess)
     assert math.isfinite(value) and worst > 0.0
     assert np.array_equal(acc.grad, ref_grad)
-    assert np.array_equal(acc.hess, ref_hess)
+    assert np.array_equal(acc.band, _upper_band(ref_hess, acc.bandwidth))
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 3, 50])
+def test_smoothness_band_is_bitwise_the_per_step_loop(num_steps):
+    scene = _two_robot_scene(num_steps)
+    states = _random_states(scene, 12, num_steps) * 2.0
+    h, w_s = 0.037, 0.3
+    # added onto random values, the order of the additions shows in the result
+    acc, ref_grad, ref_hess = _seeded_accumulator(num_steps, states.shape[1], 13)
+    trajopt._smoothness(states, h, w_s, acc)
+    _reference_smoothness(states, h, w_s, ref_grad, ref_hess)
+    assert np.array_equal(acc.grad, ref_grad)
+    assert np.array_equal(acc.band, _upper_band(ref_hess, acc.bandwidth))
+    # from zero, the public term's dense matrix is the reference's, both triangles
+    value, grad, hess = trajopt.smoothness_term(Trajectory(states, h), w_s)
+    ref_grad, ref_hess = np.zeros(grad.shape), np.zeros(hess.shape)
+    _reference_smoothness(states, h, w_s, ref_grad.reshape(num_steps, -1), ref_hess)
+    assert (value > 0.0) == (num_steps >= 3)
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(hess, ref_hess)
+
+
+def test_derivative_evaluation_allocates_no_dense_hessian():
+    # arm7_box's dense Hessian would be (160 * 13)^2 floats = 34.6 MB
+    scene = load_scene(scene_text("arm7_box"))
+    states = trajopt.default_trajectory(scene).states
+    slack = scene.outer.broad_phase_slack
+    trajopt._evaluate(scene, states, {}, True, slack)  # builds the scene's lazy indices
+    tracemalloc.start()
+    try:
+        trajopt._evaluate(scene, states, {}, True, slack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("name", ["arm7_box", "branching"])
+def test_fk_jacobians_are_bitwise_the_per_joint_loop(name):
+    scene = SCENES[name](6)
+    robot = scene.robots[0]
+    rng = np.random.default_rng(14)
+    states = _random_states(scene, 15, 6)
+    for row in states:
+        state = scene.robot_state(row, 0)
+        frames = link_frames(robot, state)
+        for link in range(robot.num_links):
+            local = rng.normal(size=3)
+            point, vector = _reference_fk_jacobians(robot, state, link, local, frames)
+            assert np.array_equal(fk_jacobian(robot, state, link, local, frames), point)
+            assert np.array_equal(fk_vector_jacobian(robot, state, link, local, frames), vector)

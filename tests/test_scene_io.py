@@ -193,7 +193,7 @@ def test_export_validates_shape_and_format():
         export_trajectory(traj, scene, "yaml")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, [1.0]])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, [1.0], True, False])
 def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
     # (path to the array in arm7_box, the array with one bad entry, what the error names)
     cases = [
