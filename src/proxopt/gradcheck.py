@@ -3,7 +3,9 @@
 Three quantities are checked on randomly perturbed scene states: the inner
 objective gradient, the sensitivity of the inner minimizer, and the full
 distance gradient chained through placement/kinematics (the inner problem is
-re-solved at every perturbed state).
+re-solved at every perturbed state). The distance gradient audited is the one
+the planner uses, trajopt's adjoint `_lane_gradient`; the sensitivity is
+`sensitivity.sensitivity_matrix` on the placement Jacobians of `_ref_jacobian`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 
 from . import sensitivity as _sens
 from .distance import InnerSettings, eval_U, solve_inner
-from .trajopt import Scene, _place_step, _ref_jacobian
+from .kinematics import robot_placement_jacobian
+from .primitives import PlacementJacobian
+from .trajopt import PrimitiveRef, Scene, _lane_gradient, place_states
 
 AUDIT_INNER = InnerSettings(grad_tol=1e-13, max_iters=80)
 
@@ -50,11 +54,22 @@ def _rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - reference)) / scale
 
 
+def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: int) -> PlacementJacobian:
+    """A ref's world anchor and vector Jacobians w.r.t. the stacked state of one step."""
+    if ref.owner is None:
+        return PlacementJacobian.zero(num_params, scene.dim_total)
+    robot = scene.robots[ref.owner]
+    jac = robot_placement_jacobian(
+        robot, scene.robot_state(x_row, ref.owner), robot.primitives[ref.index], frames[ref.owner]
+    )
+    return jac.embed(scene.robot_offsets[ref.owner], scene.dim_total)
+
+
 def _solve_at_row(scene: Scene, row: np.ndarray, key, inner, warm=None):
-    world, frames = _place_step(scene, row)
+    placement = place_states(scene, np.asarray(row, dtype=float)[None])
     a, b = key
-    pair = (world[a], world[b])
-    return pair, frames, solve_inner(pair, inner, warm)
+    pair = (placement.world(0, a), placement.world(0, b))
+    return pair, placement, solve_inner(pair, inner, warm)
 
 
 def run_gradcheck(
@@ -75,7 +90,7 @@ def run_gradcheck(
     for _ in range(samples):
         row = base_row + rng.uniform(-0.3, 0.3, n_x)
         for key in pairs:
-            pair, frames, res = _solve_at_row(scene, row, key, inner)
+            pair, placement, res = _solve_at_row(scene, row, key, inner)
             dim_t = pair[0].num_params + pair[1].num_params
 
             # Inner objective gradient at a random point.
@@ -93,10 +108,11 @@ def run_gradcheck(
             if not res.converged:
                 continue
             a, b = key
+            frames = placement.step_frames(0)
             ja = _ref_jacobian(scene, row, refs[a], frames, pair[0].num_params)
             jb = _ref_jacobian(scene, row, refs[b], frames, pair[1].num_params)
             dt_dx = _sens.sensitivity_matrix(pair, (ja, jb), res, inner)
-            grad_x = _sens.distance_gradient(pair, (ja, jb), res, dt_dx)
+            grad_x = _lane_gradient(scene, placement, row, 0, a, b, res.t_star, res.closest_a, res.closest_b, inner)
 
             dt_fd = np.empty((dim_t, n_x))
             d_fd = np.empty(n_x)

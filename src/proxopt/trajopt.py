@@ -11,7 +11,9 @@ Every primitive is an anchor plus 0-3 vectors, so `place_states` places all
 primitives at all N steps into fixed-shape arrays in one pass, and the broad
 phase tests all steps and candidate pairs in one array operation. Every kept
 (step, pair) is then one lane of the same small minimization, and the lanes
-of one (La, Lb) shape are solved together by `distance.solve_lanes`.
+of one (La, Lb) shape are solved together by `distance.solve_lanes`. A lane
+whose penalty is active gets its gradient from one small adjoint solve,
+taken back through its robot's chain as a wrench (`_lane_gradient`).
 """
 
 from __future__ import annotations
@@ -23,22 +25,23 @@ from typing import Optional
 
 import numpy as np
 
-from .distance import DEFAULT_INNER, InnerSettings, certified_distance, solve_lanes
+from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certified_distance, solve_lanes
 # Not called here: perfbench traces its grid-oracle and scalar inner-solve layers through these names.
 from .distance import brute_force_distance, solve_inner  # noqa: F401
 from .kinematics import (
     RobotModel,
     RobotState,
+    _ancestor_joints,
     _coordinate_limits,
     _Frames,
     link_frames,
     fk_jacobian,
-    robot_placement_jacobian,
 )
-# Not called here: perfbench traces its per-primitive placement layer through this name.
-from .kinematics import place_on_robot  # noqa: F401
-from .primitives import PlacementJacobian, WorldPrimitive
-from .sensitivity import pair_derivatives
+# Not called here: perfbench traces its per-primitive placement, placement
+# Jacobian and pair-derivative layers through these names.
+from .kinematics import place_on_robot, robot_placement_jacobian  # noqa: F401
+from .primitives import WorldPrimitive
+from .sensitivity import pair_derivatives  # noqa: F401
 
 
 class SolveError(RuntimeError):
@@ -227,6 +230,21 @@ class Scene:
         shapes = sorted(set(shape_of))
         return slots, np.array([shapes.index(shape) for shape in shape_of], dtype=np.intp), shapes
 
+    @cached_property
+    def _chain_index(self) -> tuple[Optional[tuple[int, int, np.ndarray]], ...]:
+        """Every ref's robot, that robot's state offset and the joints that move
+        the ref's link (None for obstacles)."""
+        return tuple(
+            None
+            if ref.owner is None
+            else (
+                ref.owner,
+                self._robot_offsets[ref.owner],
+                np.array(_ancestor_joints(self.robots[ref.owner], ref.link), dtype=np.intp),
+            )
+            for ref in self._refs
+        )
+
     def robot_state(self, x_row: np.ndarray, robot: int) -> RobotState:
         off = self.robot_offsets[robot]
         return RobotState.from_vector(x_row[off : off + self.robots[robot].dim])
@@ -241,8 +259,8 @@ class Placement:
     anchors[i, p] is ref p's world anchor at step i and vectors[i, p, :L] its
     L world vectors (rows past L are zero). frames[r] holds robot r's link
     frames with a leading step axis. `world(i, p)` is the WorldPrimitive view
-    that certified_distance and the pair derivatives take; it is built only
-    for the refs asked for.
+    that certified_distance and the library's pair derivatives take; it is
+    built only for the refs asked for.
     """
 
     def __init__(self, scene: Scene, anchors: np.ndarray, vectors: np.ndarray, frames: list[_Frames]):
@@ -377,14 +395,93 @@ def _lanes_at(scene: Scene, states, slack: float, warm: dict) -> _Lanes:
     return _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
 
 
-def _ref_jacobian(scene: Scene, x_row, ref: PrimitiveRef, frames, num_params: int) -> PlacementJacobian:
-    if ref.owner is None:
-        return PlacementJacobian.zero(num_params, scene.dim_total)
-    robot = scene.robots[ref.owner]
-    jac = robot_placement_jacobian(
-        robot, scene.robot_state(x_row, ref.owner), robot.primitives[ref.index], frames[ref.owner]
-    )
-    return jac.embed(scene.robot_offsets[ref.owner], scene.dim_total)
+def _lane_gradient(
+    scene: Scene,
+    placement: Placement,
+    x_row: np.ndarray,
+    i: int,
+    a: int,
+    b: int,
+    t_star: np.ndarray,
+    closest_a: np.ndarray,
+    closest_b: np.ndarray,
+    settings: InnerSettings,
+) -> np.ndarray:
+    """Gradient of a solved lane's d_sq w.r.t. its step's stacked state, shape (dim_total,).
+
+    The lane is refs a and b at step i of `placement`, `x_row` is step i's
+    state, and t_star, closest_a and closest_b are its converged inner
+    solution under `settings`. Take the signed rows r_l (a's vectors, then
+    b's negated), d = closest_a − closest_b, and the inner Hessian H at t*
+    (the matrix sensitivity_matrix factors). By the implicit function theorem
+    dD/dx = ∂D/∂x − λᵀ ∂²U/∂t∂x, where H λ = ∂D/∂t = 2 R d, so one L×L solve
+    against a vector stands in for dt/dx (the adjoint form). With
+    e = d − Σ λ_l r_l, a's anchor takes the world force 2e and b's anchor −2e,
+    and row l takes g_l = 2(t_l e − λ_l d), whose torques r_l × g_l add up
+    per side. Each side's chain then takes its force and torque back as a
+    wrench (_add_wrench).
+    """
+    refs = scene.primitive_refs()
+    la, lb = refs[a].num_params, refs[b].num_params
+    rows = placement.vectors[i, a, :la].tolist() + (-placement.vectors[i, b, :lb]).tolist()
+    dx, dy, dz = (closest_a - closest_b).tolist()
+    ex, ey, ez = dx, dy, dz
+    torques = ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    if rows:
+        hess = [[2.0 * (xi * xj + yi * yj + zi * zj) for xj, yj, zj in rows] for xi, yi, zi in rows]
+        reg, con = 2.0 * settings.w_reg, 2.0 * settings.w_con
+        t = t_star.tolist()
+        diag = [hess[l][l] + reg + (con if tl > 1.0 or tl < 0.0 else 0.0) for l, tl in enumerate(t)]
+        # _newton_step solves H λ = −(its last argument)
+        lam = _newton_step(hess, diag, [-2.0 * (x * dx + y * dy + z * dz) for x, y, z in rows])
+        for lam_l, (x, y, z) in zip(lam, rows):
+            ex -= lam_l * x
+            ey -= lam_l * y
+            ez -= lam_l * z
+        for l, (tl, lam_l, (x, y, z)) in enumerate(zip(t, lam, rows)):
+            gx = 2.0 * (tl * ex - lam_l * dx)
+            gy = 2.0 * (tl * ey - lam_l * dy)
+            gz = 2.0 * (tl * ez - lam_l * dz)
+            tau = torques[l >= la]
+            tau[0] += y * gz - z * gy
+            tau[1] += z * gx - x * gz
+            tau[2] += x * gy - y * gx
+    grad = np.zeros(scene.dim_total)
+    _add_wrench(scene, placement, x_row, i, a, (2.0 * ex, 2.0 * ey, 2.0 * ez), torques[0], grad)
+    _add_wrench(scene, placement, x_row, i, b, (-2.0 * ex, -2.0 * ey, -2.0 * ez), torques[1], grad)
+    return grad
+
+
+def _add_wrench(scene: Scene, placement: Placement, x_row, i: int, p: int, force, torque, grad: np.ndarray):
+    """Add to `grad` the state gradient of a world force at ref p's anchor P plus a torque on its link.
+
+    The force is the gradient w.r.t. P and the torque collects each world
+    vector's r × (gradient w.r.t. r). A coordinate that turns the link by a
+    unit rate about axis ω through point o moves P by ω × (P − o) and each
+    vector by ω × r, so it gets ω · ((P − o) × force + torque): a hinge j
+    with its world axis and origin, and base Euler angle m with
+    ω_m = (e_x, Rx(α)·e_y, Rx(α)·Ry(β)·e_z) through the base origin. The base
+    translation gets the force itself; an obstacle gets nothing.
+    """
+    chain = scene._chain_index[p]
+    if chain is None:
+        return
+    r, off, joints = chain
+    frames = placement.frames[r]
+    fx, fy, fz = force
+    anchor = placement.anchors[i, p]
+    ux, uy, uz = (anchor - frames.origins[i, 0]).tolist()
+    mx = uy * fz - uz * fy + torque[0]
+    my = uz * fx - ux * fz + torque[1]
+    mz = ux * fy - uy * fx + torque[2]
+    alpha, beta = x_row[off + 3 : off + 5].tolist()
+    ca, sa, cb, sb = math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+    grad[off : off + 6] += (fx, fy, fz, mx, ca * my + sa * mz, sb * mx - sa * cb * my + ca * cb * mz)
+    if len(joints):
+        # (P − o_j) × force is (P − o_j) @ [force]×
+        cross = np.array([[0.0, -fz, fy], [fz, 0.0, -fx], [-fy, fx, 0.0]])
+        moments = (anchor - frames.joint_origins[i, joints]) @ cross + torque
+        grad[off + 6 + joints] += (frames.joint_axes[i, joints] * moments).sum(axis=1)
 
 
 def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list[tuple[int, int]]:
@@ -585,16 +682,16 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
         if acc.need_derivs:
             i, (a, b) = lanes.keys[k]
             g, row = home[k].tolist()
-            pair = (placement.world(i, a), placement.world(i, b))
-            frames = placement.step_frames(i)
-            ja = _ref_jacobian(scene, states[i], refs[a], frames, pair[0].num_params)
-            jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
-            ders = pair_derivatives(pair, (ja, jb), solved[g].lane(row), scene.inner)
-            acc.grad[i] += (2.0 * w_ca * e) * ders.grad_x
+            res = solved[g]
+            grad = _lane_gradient(
+                scene, placement, states[i], i, a, b,
+                res.t_star[row], res.closest_a[row], res.closest_b[row], scene.inner,
+            )
+            acc.grad[i] += (2.0 * w_ca * e) * grad
             # Gauss-Newton model: e < 0 whenever the penalty is active, so
-            # the curvature term e * hess_xx is negative semidefinite and
-            # only degrades the Newton direction; keep the PSD part.
-            block = (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x)
+            # the curvature term e * d²(d_sq)/dx² is negative semidefinite
+            # and only degrades the Newton direction; keep the PSD part.
+            block = (2.0 * w_ca) * np.outer(grad, grad)
             acc.add_block(i, i, block)
     return value, new_warm, min_clearance, max_violation
 

@@ -198,12 +198,13 @@ def test_gradcheck_skips_empty_parameter_space(capsys):
 
 
 def test_gradcheck_detects_wrong_gradient(monkeypatch, capsys):
-    original = gradcheck_mod._sens.distance_gradient
+    # the distance gradient gradcheck audits is the planner's (trajopt._lane_gradient)
+    original = gradcheck_mod._lane_gradient
 
     def flipped(*args, **kwargs):
         return -original(*args, **kwargs)
 
-    monkeypatch.setattr(gradcheck_mod._sens, "distance_gradient", flipped)
+    monkeypatch.setattr(gradcheck_mod, "_lane_gradient", flipped)
     code = main(["gradcheck", _scene_path("capsule_box")])
     assert code == 3
     captured = capsys.readouterr()
