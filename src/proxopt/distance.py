@@ -332,16 +332,6 @@ class LaneResults:
         self.newton_steps = newton_steps  # (n,)
         self.converged = converged  # (n,)
 
-    def lane(self, k: int) -> ProximityResult:
-        return ProximityResult(
-            d_sq=float(self.d_sq[k]),
-            t_star=self.t_star[k],
-            closest_a=self.closest_a[k],
-            closest_b=self.closest_b[k],
-            newton_steps=int(self.newton_steps[k]),
-            converged=bool(self.converged[k]),
-        )
-
 
 def solve_lanes(
     anchor_a: np.ndarray,

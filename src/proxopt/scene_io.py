@@ -1,8 +1,8 @@
 """Declarative scene files (JSON) and trajectory export.
 
-Units are meters, radians and seconds throughout. Top-level keys: `robots`,
-`obstacles`, `objectives`, `horizon`, `weights`, `settings`. See the README
-for a complete schema description and an example.
+Units are meters, radians and seconds throughout. `_SCENE` is the schema of a
+scene document: every key with its type, shape, default and range. The README
+lists it, with an example.
 """
 
 from __future__ import annotations
@@ -12,179 +12,275 @@ import json
 import math
 import numbers
 from dataclasses import asdict
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .distance import InnerSettings
 from .kinematics import Joint, LimitSpec, RobotModel, RobotState
 from .poses import Pose
-from .primitives import Kind, Primitive, WorldPrimitive, place
-from .trajopt import (
-    EETarget,
-    Objectives,
-    Obstacle,
-    OuterSettings,
-    Scene,
-    StateTarget,
-    Trajectory,
-)
+from .primitives import WORLD, Kind, Primitive, place
+from .trajopt import EETarget, Objectives, Obstacle, OuterSettings, Scene, StateTarget, Trajectory
 
 
 class SceneError(ValueError):
     pass
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise SceneError(message)
+# -- the checker ----------------------------------------------------------------
+
+_REQUIRED, _ABSENT = object(), object()  # the default of a key that must be given; the value of a missing key
+_NUMBER, _INTEGER, _BOOLEAN, _STRING = "a finite number", "an integer", "a boolean", "a string"
+_ROBOT_REF, _VECTOR, _NUMBERS = "a robot name or index", "3 finite numbers", "finite numbers"  # arrays: (nested) lists
 
 
-def _section(obj: dict, key: str, default, where: str = ""):
-    """obj[key], or `default` if absent; it must have the JSON type of `default`."""
-    value = obj.get(key, default)
-    kind = "an object" if isinstance(default, dict) else "a list"
-    _require(isinstance(value, type(default)), f"{where}{key} must be {kind}")
-    return value
+class _Field(NamedTuple):
+    kind: object  # one of the kinds above, or the tuple of the strings allowed
+    default: object = _REQUIRED  # None: the builder fills in an absent key
+    min: float = -math.inf  # numbers: the least value allowed,
+    strict: bool = False  # or a bound the value must exceed
+    null: bool = False  # whether null stands for the default
+    check: Optional[Callable] = None  # a constructor that holds the field's range
 
 
-def _number(value, name: str, integer: bool = False):
-    """A scalar field as a finite float, or as an int if `integer`.
+class _Object(NamedTuple):  # an object with only these keys; build(values, path) makes its value
+    keys: dict
+    build: Optional[Callable] = None  # None: the value is the dict of checked values
+    default: object = {}
+    null: bool = False
 
-    Anything else (a string, null, a list, a boolean, NaN, an infinity or, for
-    an integer, a fraction) raises SceneError naming the field.
-    """
-    kind = "an integer" if integer else "a finite number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SceneError(f"{name} must be {kind}, got {json.dumps(value, default=repr)}")
+
+class _List(NamedTuple):
+    item: object
+    size: Optional[int] = None
+    default: object = ()
+    null: bool = False
+    shared: bool = False  # whether one object may stand for all `size` entries
+
+
+def _fail(path: tuple, message: str):
+    """Raise a SceneError that starts with the JSON path of the key, e.g. robots[0].joints[2].axis."""
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    raise SceneError(f"{where or 'top level'}: {message}")
+
+
+def _show(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _check(spec, value, path: tuple):
+    """`value` checked against `spec` and built; a SceneError names the JSON path of a fault."""
+    if value is _ABSENT or (value is None and spec.null):
+        if spec.default is _REQUIRED:
+            _fail(path, "required key is missing")
+        if spec.default is None:
+            return None  # the builder fills it in
+        value = spec.default
+    if isinstance(spec, _Object):
+        if not isinstance(value, dict):
+            _fail(path, f"must be an object, got {_show(value)}")
+        for key in value:
+            if key not in spec.keys:
+                _fail(path + (key,), f"unknown key; the keys allowed here are {', '.join(spec.keys)}")
+        values = {key: _check(sub, value.get(key, _ABSENT), path + (key,)) for key, sub in spec.keys.items()}
+        return spec.build(values, path) if spec.build else values
+    if isinstance(spec, _List):
+        if spec.shared and isinstance(value, dict):
+            return [_check(spec.item, value, path)] * spec.size
+        if not isinstance(value, (list, tuple)):
+            _fail(path, f"must be a list, got {_show(value)}")
+        if spec.size is not None and len(value) != spec.size:
+            _fail(path, f"must have {spec.size} entries, got {len(value)}")
+        return [_check(spec.item, item, path + (k,)) for k, item in enumerate(value)]
+    return _field(spec, value, path)
+
+
+def _field(spec: _Field, value, path: tuple):
+    kind = spec.kind
+    if kind in (_VECTOR, _NUMBERS):
+        return _array(value, path, 3 if kind == _VECTOR else None)
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        _fail(path, f"must be one of {', '.join(kind)}, got {_show(value)}")
+    if kind in (_STRING, _ROBOT_REF) and isinstance(value, str):
+        return value
+    if kind == _BOOLEAN and isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if kind in (_NUMBER, _INTEGER, _ROBOT_REF) and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (kind == _NUMBER or number.is_integer()):
+            number = number if kind == _NUMBER else int(value)
+            if not (number > spec.min if spec.strict else number >= spec.min):
+                _fail(path, f"must be {'>' if spec.strict else '>='} {spec.min:g}, got {number}")
+            if spec.check:
+                _make(path, spec.check, number)
+            return number
+    _fail(path, f"must be {kind}, got {_show(value)}")
+
+
+def _array(value, path: tuple, size: Optional[int]) -> np.ndarray:
+    # A boolean is no number here, although np.asarray would turn [true, 0, 0] into [1, 0, 0].
+    array = None
+    if isinstance(value, (list, tuple, np.ndarray)):
+        cells = np.asarray(value, dtype=object)
+        if all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in cells.flat):
+            try:
+                array = cells.astype(float)
+            except OverflowError:
+                pass
+    if array is None or not np.isfinite(array).all():
+        _fail(path, f"must be finite numbers, got {_show(value)}")
+    return array if size is None else _sized(array, size, path)
+
+
+def _sized(array: np.ndarray, size: int, path: tuple) -> np.ndarray:
+    if array.shape != (size,):
+        _fail(path, f"must have {size} entries, got {_show(array.tolist())}")
+    return array
+
+
+# -- the schema: builders of the checked values, then the table of every key ------
+
+
+def _make(path: tuple, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError raised again as a SceneError under `path`."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number) or (integer and not number.is_integer()):
-        raise SceneError(f"{name} must be {kind}, got {value!r}")
-    return int(value) if integer else number
-
-
-def _holds_bool(value) -> bool:
-    """Whether a (possibly nested) list holds a boolean anywhere."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, (bool, np.bool_))
-
-
-def _array(value, name: str, size: Optional[int] = None) -> np.ndarray:
-    """An array field as a float array of finite numbers, with `size` entries if given.
-
-    Anything else (a string, null, a boolean, a ragged list, NaN, an infinity
-    or the wrong length) raises SceneError naming the field. A boolean mixed
-    into numbers counts too: np.asarray would turn [true, 0, 0] into [1, 0, 0].
-    """
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = None
-    if (
-        array is None
-        or array.dtype.kind not in "iuf"
-        or _holds_bool(value)
-        or not np.isfinite(array).all()
-    ):
-        raise SceneError(f"{name} must be finite numbers, got {json.dumps(value, default=repr)}")
-    if size is not None and array.shape != (size,):
-        raise SceneError(f"{name} must have {size} entries, got {json.dumps(value, default=repr)}")
-    return array.astype(float)
-
-
-def _field(obj: dict, key: str, context: str):
-    """A required entry of a target object."""
-    _require(key in obj, f"{context}: missing {key!r}")
-    return obj[key]
-
-
-def _parse_pose(obj, context: str) -> Pose:
-    if obj is None:
-        return Pose.identity()
-    _require(isinstance(obj, dict), f"{context}: pose must be an object")
-    translation = _array(obj.get("translation", [0.0, 0.0, 0.0]), f"{context}: translation", 3)
-    rotation = _array(obj.get("rotation", [0.0, 0.0, 0.0]), f"{context}: rotation", 3)
-    return Pose(translation, rotation)
-
-
-def _parse_limits(obj, context: str) -> Optional[LimitSpec]:
-    if obj is None:
-        return None
-    _require(isinstance(obj, dict), f"{context}: limits must be an object")
-    bounds = {
-        key: None if obj.get(key) is None else _number(obj[key], f"{context}: limits.{key}")
-        for key in ("lower", "upper", "velocity", "acceleration")
-    }
-    try:
-        return LimitSpec(**bounds)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise SceneError(f"{context}: {exc}") from exc
+        _fail(path, str(exc))
 
 
-def _parse_primitive(obj, attachment, context: str) -> Primitive:
-    _require(isinstance(obj, dict) and "kind" in obj, f"{context}: primitive needs a kind")
-    try:
-        kind = Kind(obj["kind"])
-    except ValueError:
-        raise SceneError(f"{context}: unknown primitive kind {obj['kind']!r}") from None
-    anchor = _array(obj.get("p", [0.0, 0.0, 0.0]), f"{context}: p")
-    vectors = _array(obj.get("v", []), f"{context}: v")
-    try:
-        return Primitive(
-            kind=kind,
-            anchor=anchor,
-            vectors=vectors,
-            margin=_number(obj.get("margin", 0.0), f"{context}: margin"),
-            attachment=attachment,
-            name=obj.get("name", ""),
-        )
-    except ValueError as exc:
-        raise SceneError(f"{context}: {exc}") from exc
+def _joint(v: dict, path: tuple) -> Joint:
+    k = path[-1]
+    parent = k if v["parent"] is None else v["parent"]
+    if not 0 <= parent <= k:
+        _fail(path + ("parent",), f"must be an earlier link, in 0..{k}, got {parent}")
+    return _make(path, Joint, parent=parent, offset=v["offset"], axis=v["axis"], limits=v["limits"])
 
 
-def _parse_robot(obj, context: str) -> tuple[RobotModel, RobotState]:
-    _require(isinstance(obj, dict) and "name" in obj, f"{context}: robot needs a name")
-    name = obj["name"]
-    try:
-        joints = []
-        for k, jobj in enumerate(obj.get("joints", [])):
-            ctx = f"joint {k}"
-            _require("axis" in jobj, f"{ctx}: missing axis")
-            parent = _number(jobj.get("parent", k), f"{ctx}: parent", integer=True)
-            _require(0 <= parent <= k, f"{ctx}: parent {parent} is not an earlier link")
-            joints.append(
-                Joint(
-                    parent=parent,
-                    offset=_parse_pose(jobj.get("offset"), ctx),
-                    axis=_array(jobj["axis"], f"{ctx}: axis"),
-                    limits=_parse_limits(jobj.get("limits"), ctx),
-                )
-            )
-        base_limits_obj = obj.get("base_limits")
-        if base_limits_obj is None:
-            base_limits = (None,) * 6
-        elif isinstance(base_limits_obj, list):
-            _require(len(base_limits_obj) == 6, "base_limits list must have 6 entries")
-            base_limits = tuple(_parse_limits(b, "base_limits") for b in base_limits_obj)
-        else:
-            shared = _parse_limits(base_limits_obj, "base_limits")
-            base_limits = (shared,) * 6
-        primitives = []
-        for k, pobj in enumerate(obj.get("primitives", [])):
-            ctx = f"primitive {k}"
-            link = _number(pobj.get("link", 0), f"{ctx}: link", integer=True)
-            _require(0 <= link <= len(joints), f"{ctx}: unknown link {link}")
-            primitives.append(_parse_primitive(pobj, link, ctx))
-        model = RobotModel(name=name, joints=tuple(joints), base_limits=base_limits, primitives=tuple(primitives))
-    except ValueError as exc:
-        raise SceneError(f"robot {name!r}: {exc}") from exc
-    q = _array(obj.get("q", [0.0] * model.n), f"robot {name!r}: q", model.n)
-    state = RobotState(_parse_pose(obj.get("base"), f"robot {name!r} base"), q)
-    return model, state
+def _primitive(v: dict, path: tuple) -> Primitive:
+    return _make(path, Primitive, kind=Kind(v["kind"]), anchor=v["p"], vectors=v["v"], margin=v["margin"],
+                 attachment=v.get("link", WORLD), name=v["name"] or "")
+
+
+def _obstacle(v: dict, path: tuple) -> Obstacle:
+    name = f"obstacle{path[-1]}" if v["name"] is None else v["name"]
+    return Obstacle(name, place(_primitive(v, path), v["pose"]))
+
+
+def _robot(v: dict, path: tuple) -> tuple[RobotModel, RobotState]:
+    joints, primitives = v["joints"], v["primitives"]
+    for k, prim in enumerate(primitives):
+        if not 0 <= prim.attachment <= len(joints):
+            _fail(path + ("primitives", k, "link"), f"must be a link, in 0..{len(joints)}, got {prim.attachment}")
+    model = _make(path, RobotModel, name=v["name"], joints=joints, base_limits=v["base_limits"], primitives=primitives)
+    q = np.zeros(model.n) if v["q"] is None else _sized(v["q"], model.n, path + ("q",))
+    return model, RobotState(v["base"], q)
+
+
+def _scene(v: dict, path: tuple) -> Scene:
+    robots, states = [model for model, _ in v["robots"]], [state for _, state in v["robots"]]
+    index = {}  # a target names its robot, or gives its index
+    for k, model in enumerate(robots):
+        if model.name in index:
+            _fail(("robots", k, "name"), f"duplicate robot name {model.name!r}")
+        index[model.name] = index[k] = k
+    steps, weights, settings = v["horizon"]["steps"], v["weights"], v["settings"]
+    objectives = Objectives(w_smooth=weights["smoothness"], w_collision=weights["collision"], w_limit=weights["limit"])
+    for key, targets in v["objectives"].items():
+        for k, t in enumerate(targets):
+            where = ("objectives", key, k)
+            r = index.get(t["robot"])
+            if r is None:
+                _fail(where + ("robot",), f"unknown robot {t['robot']!r}")
+            if not 1 <= t["step"] <= steps:
+                _fail(where + ("step",), f"must be in 1..{steps}, got {t['step']}")
+            if key == "state_targets":
+                value = _sized(t["value"], robots[r].dim, where + ("value",))
+                objectives.state_targets.append(StateTarget(t["step"], r, value, t["weight"]))
+            elif not 0 <= t["link"] <= robots[r].n:
+                _fail(where + ("link",), f"must be a link of that robot, in 0..{robots[r].n}, got {t['link']}")
+            else:
+                objectives.ee_targets.append(EETarget(t["step"], r, t["link"], t["local"], t["target"], t["weight"]))
+    inner = InnerSettings(w_reg=weights["regularization"], w_con=weights["penalty"],
+                          grad_tol=settings["inner_grad_tol"], max_iters=settings["inner_max_iters"])
+    outer = OuterSettings(**{key: settings[key] for key in ("max_outer_iters", "grad_tol", "ftol",
+                                                            "broad_phase_slack", "damping_init")})
+    scene = _make(path, Scene, robots=robots, initial_states=states, obstacles=v["obstacles"], objectives=objectives,
+                  num_steps=steps, h=v["horizon"]["h"], inner=inner, outer=outer)
+    # Pin the first state to the provided initial configuration unless disabled.
+    if settings["pin_initial"]:
+        for r, state in enumerate(states):
+            scene.objectives.state_targets.append(StateTarget(1, r, state.to_vector(), settings["pin_weight"]))
+    return scene
+
+
+def _setting(cls, name: str, kind: str = _NUMBER) -> _Field:
+    """The key of field `name` of a settings class, whose default and range the class holds."""
+    return _Field(kind, getattr(cls, name), check=lambda value: cls(**{name: value}))
+
+
+_ZERO = (0.0, 0.0, 0.0)
+_POSE = _Object({"translation": _Field(_VECTOR, _ZERO), "rotation": _Field(_VECTOR, _ZERO)},
+                lambda v, path: Pose(v["translation"], v["rotation"]), null=True)
+_BOUND, _RATE = _Field(_NUMBER, None, null=True), _Field(_NUMBER, None, min=0, null=True)
+_LIMITS = _Object({"lower": _BOUND, "upper": _BOUND, "velocity": _RATE, "acceleration": _RATE},
+                  lambda v, path: _make(path, LimitSpec, **v), default=None, null=True)
+_PRIMITIVE = {
+    "kind": _Field(tuple(kind.value for kind in Kind)),
+    "p": _Field(_VECTOR, _ZERO),
+    "v": _Field(_NUMBERS, ()),  # one 3-vector per parameter; the kind sets how many
+    "margin": _Field(_NUMBER, 0.0),
+    "name": _Field(_STRING, ""),
+}
+_JOINT = {"parent": _Field(_INTEGER, None), "offset": _POSE, "axis": _Field(_VECTOR), "limits": _LIMITS}
+_ROBOT = {
+    "name": _Field(_STRING),
+    "base": _POSE,
+    "base_limits": _List(_LIMITS, size=6, default=(None,) * 6, null=True, shared=True),
+    "q": _Field(_NUMBERS, None),
+    "joints": _List(_Object(_JOINT, _joint)),
+    "primitives": _List(_Object({**_PRIMITIVE, "link": _Field(_INTEGER, 0)}, _primitive)),
+}
+_TARGET = {"robot": _Field(_ROBOT_REF), "step": _Field(_INTEGER), "weight": _Field(_NUMBER, 1.0, min=0)}
+_OBJECTIVES = {
+    "state_targets": _List(_Object({**_TARGET, "value": _Field(_NUMBERS)})),
+    "ee_targets": _List(
+        _Object({**_TARGET, "link": _Field(_INTEGER), "local": _Field(_VECTOR, _ZERO), "target": _Field(_VECTOR)})
+    ),
+}
+_HORIZON = {"steps": _Field(_INTEGER, Scene.num_steps, min=1), "h": _Field(_NUMBER, Scene.h, min=0, strict=True)}
+_WEIGHTS = {
+    "smoothness": _Field(_NUMBER, Objectives.w_smooth, min=0),
+    "collision": _Field(_NUMBER, Objectives.w_collision, min=0),
+    "limit": _Field(_NUMBER, Objectives.w_limit, min=0),
+    "regularization": _setting(InnerSettings, "w_reg"),
+    "penalty": _setting(InnerSettings, "w_con"),
+}
+_SETTINGS = {
+    "max_outer_iters": _setting(OuterSettings, "max_outer_iters", _INTEGER),
+    "grad_tol": _setting(OuterSettings, "grad_tol"),
+    "ftol": _setting(OuterSettings, "ftol"),
+    "broad_phase_slack": _setting(OuterSettings, "broad_phase_slack"),
+    "damping_init": _setting(OuterSettings, "damping_init"),
+    "inner_grad_tol": _setting(InnerSettings, "grad_tol"),
+    "inner_max_iters": _setting(InnerSettings, "max_iters", _INTEGER),
+    "pin_initial": _Field(_BOOLEAN, True),
+    "pin_weight": _Field(_NUMBER, 1e6, min=0),
+}
+_SECTIONS = {
+    "robots": _List(_Object(_ROBOT, _robot)),
+    "obstacles": _List(_Object({**_PRIMITIVE, "name": _Field(_STRING, None), "pose": _POSE}, _obstacle)),
+    "horizon": _Object(_HORIZON),
+    "objectives": _Object(_OBJECTIVES),
+    "weights": _Object(_WEIGHTS),
+    "settings": _Object(_SETTINGS),
+}
+_SCENE = _Object(_SECTIONS, _scene)
 
 
 def load_scene(text: str) -> Scene:
@@ -198,105 +294,7 @@ def load_scene(text: str) -> Scene:
 
 def scene_from_dict(doc) -> Scene:
     """Build a validated scene from a parsed JSON object."""
-    _require(isinstance(doc, dict), "top level must be an object")
-
-    robots, states = [], []
-    names = {}
-    for k, robj in enumerate(_section(doc, "robots", [])):
-        model, state = _parse_robot(robj, f"robots[{k}]")
-        _require(model.name not in names, f"duplicate robot name {model.name!r}")
-        names[model.name] = k
-        robots.append(model)
-        states.append(state)
-
-    obstacles = []
-    for k, oobj in enumerate(_section(doc, "obstacles", [])):
-        ctx = f"obstacles[{k}]"
-        prim = _parse_primitive(oobj, "world", ctx)
-        pose = _parse_pose(oobj.get("pose"), ctx)
-        obstacles.append(Obstacle(oobj.get("name", f"obstacle{k}"), place(prim, pose)))
-
-    horizon = _section(doc, "horizon", {})
-    num_steps = _number(horizon.get("steps", 1), "horizon.steps", integer=True)
-    h = _number(horizon.get("h", 0.1), "horizon.h")
-    _require(num_steps >= 1 and h > 0, "horizon requires steps >= 1 and h > 0")
-
-    weights = _section(doc, "weights", {})
-    objectives = Objectives(
-        w_smooth=_number(weights.get("smoothness", 0.1), "weights.smoothness"),
-        w_collision=_number(weights.get("collision", 1e3), "weights.collision"),
-        w_limit=_number(weights.get("limit", 1e3), "weights.limit"),
-    )
-
-    def robot_index(ref, ctx):
-        if isinstance(ref, int):
-            _require(0 <= ref < len(robots), f"{ctx}: unknown robot {ref}")
-            return ref
-        _require(ref in names, f"{ctx}: unknown robot {ref!r}")
-        return names[ref]
-
-    objs = _section(doc, "objectives", {})
-    for k, tobj in enumerate(_section(objs, "state_targets", [], "objectives.")):
-        ctx = f"objectives.state_targets[{k}]"
-        _require(isinstance(tobj, dict), f"{ctx}: must be an object")
-        r = robot_index(tobj.get("robot"), ctx)
-        value = _array(_field(tobj, "value", ctx), f"{ctx}: value", robots[r].dim)
-        step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
-        _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
-        weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
-        objectives.state_targets.append(StateTarget(step, r, value, weight))
-    for k, tobj in enumerate(_section(objs, "ee_targets", [], "objectives.")):
-        ctx = f"objectives.ee_targets[{k}]"
-        _require(isinstance(tobj, dict), f"{ctx}: must be an object")
-        r = robot_index(tobj.get("robot"), ctx)
-        link = _number(_field(tobj, "link", ctx), f"{ctx}.link", integer=True)
-        _require(0 <= link <= robots[r].n, f"{ctx}: unknown link {link}")
-        step = _number(_field(tobj, "step", ctx), f"{ctx}.step", integer=True)
-        _require(1 <= step <= num_steps, f"{ctx}: step {step} outside 1..{num_steps}")
-        weight = _number(tobj.get("weight", 1.0), f"{ctx}.weight")
-        local = _array(tobj.get("local", [0, 0, 0]), f"{ctx}: local", 3)
-        target = _array(_field(tobj, "target", ctx), f"{ctx}: target", 3)
-        objectives.ee_targets.append(EETarget(step, r, link, local, target, weight))
-
-    settings = _section(doc, "settings", {})
-    w_reg = _number(weights.get("regularization", 1e-4), "weights.regularization")
-    w_con = _number(weights.get("penalty", 1e4), "weights.penalty")
-    inner_grad_tol = _number(settings.get("inner_grad_tol", 1e-10), "settings.inner_grad_tol")
-    inner_max_iters = _number(settings.get("inner_max_iters", 50), "settings.inner_max_iters", integer=True)
-    try:
-        inner = InnerSettings(w_reg=w_reg, w_con=w_con, grad_tol=inner_grad_tol, max_iters=inner_max_iters)
-    except ValueError as exc:
-        raise SceneError(str(exc)) from exc
-    outer = OuterSettings(
-        max_outer_iters=_number(settings.get("max_outer_iters", 500), "settings.max_outer_iters", integer=True),
-        grad_tol=_number(settings.get("grad_tol", 1e-6), "settings.grad_tol"),
-        ftol=_number(settings.get("ftol", 1e-10), "settings.ftol"),
-        broad_phase_slack=_number(settings.get("broad_phase_slack", 0.1), "settings.broad_phase_slack"),
-        damping_init=_number(settings.get("damping_init", 1e-8), "settings.damping_init"),
-    )
-
-    try:
-        scene = Scene(
-            robots=robots,
-            initial_states=states,
-            obstacles=obstacles,
-            objectives=objectives,
-            num_steps=num_steps,
-            h=h,
-            inner=inner,
-            outer=outer,
-        )
-    except ValueError as exc:
-        raise SceneError(str(exc)) from exc
-
-    # Pin the first state to the provided initial configuration unless disabled.
-    if settings.get("pin_initial", True):
-        pin_weight = _number(settings.get("pin_weight", 1e6), "settings.pin_weight")
-        for r in range(len(robots)):
-            scene.objectives.state_targets.append(
-                StateTarget(1, r, states[r].to_vector(), pin_weight)
-            )
-    return scene
+    return _check(_SCENE, doc, ())
 
 
 def scene_to_dict(scene: Scene) -> dict:

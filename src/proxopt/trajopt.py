@@ -114,6 +114,14 @@ class OuterSettings:
     damping_max: float = 1e12
     broad_phase_slack: float = 0.1
 
+    def __post_init__(self):
+        # From a zero damping, `lam *= damping_factor` never reaches damping_max;
+        # a negative slack culls penetrating pairs, which _evaluate reads as clear.
+        if not self.damping_init > 0:
+            raise ValueError(f"damping_init must be positive, got {self.damping_init}")
+        if not self.broad_phase_slack >= 0:
+            raise ValueError(f"broad_phase_slack must be non-negative, got {self.broad_phase_slack}")
+
 
 @dataclass(frozen=True)
 class PrimitiveRef:

@@ -63,6 +63,10 @@ def test_plan_input_errors(tmp_path, capsys):
         "settings.max_outer_iters=[1]",
         'objectives.state_targets=[{"robot":0,"value":[0,0,0,0,0,0],"step":"x"}]',
         "weights.smoothness=NaN",
+        'objectives.state_targets=[{"robot":["a"],"value":[0,0,0,0,0,0],"step":2}]',
+        'robots=[{"name":["a"]}]',
+        "settings.max_outer_iter=1",
+        "settings.broad_phase_slack=-0.5",
     ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err
@@ -75,9 +79,9 @@ def test_plan_input_errors(tmp_path, capsys):
     bool_p = json.loads(scene_text("two_sphere_swap"))
     bool_p["robots"][0]["primitives"][0]["p"] = [True, 0, 0]
     for name, doc, named in (
-        ("nan_p", nan_p, "primitive 0: p"),
-        ("inf_base", inf_base, "base: translation"),
-        ("bool_p", bool_p, "primitive 0: p"),
+        ("nan_p", nan_p, "robots[0].primitives[0].p"),
+        ("inf_base", inf_base, "robots[0].base.translation"),
+        ("bool_p", bool_p, "robots[0].primitives[0].p"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -85,7 +89,7 @@ def test_plan_input_errors(tmp_path, capsys):
         assert named in capsys.readouterr().err
     nan_target = 'objectives.state_targets=[{"robot":0,"value":[NaN,0,0,0,0,0],"step":2}]'
     assert main(["plan", _scene_path("minimal"), "-o", out, "--set", nan_target]) == 1
-    assert "objectives.state_targets[0]: value" in capsys.readouterr().err
+    assert "objectives.state_targets[0].value" in capsys.readouterr().err
 
 
 def test_plan_report_exports_iteration_stats_as_strict_json(tmp_path):
@@ -181,6 +185,15 @@ def test_distance_unknown_pair(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown pair" in err and "b_sphere" in err
+
+
+def test_distance_rejects_an_obstacle_name_that_is_not_a_string(tmp_path, capsys):
+    doc = json.loads(scene_text("capsule_box"))
+    doc["obstacles"][0]["name"] = ["pillar"]
+    path = tmp_path / "listed_name.json"
+    path.write_text(json.dumps(doc))
+    assert main(["distance", str(path), "--pair", "stick_capsule:crate_box"]) == 1
+    assert capsys.readouterr().err.startswith("error: obstacles[0].name: must be a string")
 
 
 def test_gradcheck_passes(capsys):

@@ -56,13 +56,12 @@ def _assert_lanes_equal_scalar(world_pairs, starts, settings):
     res = solve_lanes(*_lanes(world_pairs, starts), settings)
     for k, (pair, start) in enumerate(zip(world_pairs, starts)):
         ref = solve_inner(pair, settings, start)
-        lane = res.lane(k)
-        assert lane.d_sq == ref.d_sq
-        assert np.array_equal(lane.t_star, ref.t_star)
-        assert np.array_equal(lane.closest_a, ref.closest_a)
-        assert np.array_equal(lane.closest_b, ref.closest_b)
-        assert lane.newton_steps == ref.newton_steps
-        assert lane.converged == ref.converged
+        assert res.d_sq[k] == ref.d_sq
+        assert np.array_equal(res.t_star[k], ref.t_star)
+        assert np.array_equal(res.closest_a[k], ref.closest_a)
+        assert np.array_equal(res.closest_b[k], ref.closest_b)
+        assert res.newton_steps[k] == ref.newton_steps
+        assert res.converged[k] == ref.converged
     return res
 
 

@@ -1,11 +1,13 @@
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from proxopt.kinematics import Joint
+from proxopt import scene_io
+from proxopt.kinematics import Joint, LimitSpec
 from proxopt.poses import Pose
 from proxopt.primitives import Kind, Primitive
 from proxopt.scene_io import (
@@ -65,32 +67,32 @@ def test_semantic_errors():
 
     doc = json.loads(json.dumps(base))
     doc["robots"][0]["primitives"][0]["kind"] = "cylinder"
-    with pytest.raises(SceneError, match="unknown primitive kind"):
+    with pytest.raises(SceneError, match=re.escape("robots[0].primitives[0].kind: must be one of")):
         scene_from_dict(doc)
 
     doc = json.loads(json.dumps(base))
     doc["robots"].append(doc["robots"][0])
-    with pytest.raises(SceneError, match="duplicate robot name"):
+    with pytest.raises(SceneError, match=re.escape("robots[1].name: duplicate robot name")):
         scene_from_dict(doc)
 
     doc = json.loads(json.dumps(base))
     doc["objectives"]["state_targets"][0]["step"] = 99
-    with pytest.raises(SceneError, match="outside 1..10"):
+    with pytest.raises(SceneError, match=re.escape("objectives.state_targets[0].step: must be in 1..10")):
         scene_from_dict(doc)
 
     doc = json.loads(json.dumps(base))
     doc["objectives"]["state_targets"][0]["robot"] = "nope"
-    with pytest.raises(SceneError, match="unknown robot"):
+    with pytest.raises(SceneError, match=re.escape("objectives.state_targets[0].robot: unknown robot")):
         scene_from_dict(doc)
 
     doc = json.loads(json.dumps(base))
     doc["objectives"]["state_targets"][0]["value"] = [0.0, 0.0]
-    with pytest.raises(SceneError, match="must have 6 entries"):
+    with pytest.raises(SceneError, match=re.escape("objectives.state_targets[0].value: must have 6 entries")):
         scene_from_dict(doc)
 
     doc = json.loads(json.dumps(base))
     doc["horizon"]["steps"] = 0
-    with pytest.raises(SceneError, match="steps >= 1"):
+    with pytest.raises(SceneError, match=re.escape("horizon.steps: must be >= 1")):
         scene_from_dict(doc)
 
 
@@ -117,15 +119,14 @@ def test_primitive_rejects_bad_anchor_shape():
             Primitive(Kind.SPHERE, anchor, margin=0.1)
     doc = json.loads(scene_text("minimal"))
     doc["robots"][0]["primitives"][0]["p"] = [0.0, 0.0]
-    with pytest.raises(SceneError, match="anchor must have 3 entries"):
+    with pytest.raises(SceneError, match=re.escape("robots[0].primitives[0].p: must have 3 entries")):
         scene_from_dict(doc)
 
 
 def test_loader_rejects_zero_joint_axis():
     doc = json.loads(scene_text("arm7_box"))
-    name = doc["robots"][0]["name"]
     doc["robots"][0]["joints"][2]["axis"] = [0, 0, 0]
-    with pytest.raises(SceneError, match=f"robot '{name}': joint axis"):
+    with pytest.raises(SceneError, match=re.escape("robots[0].joints[2]: joint axis")):
         scene_from_dict(doc)
 
 
@@ -197,15 +198,15 @@ def test_export_validates_shape_and_format():
 def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
     # (path to the array in arm7_box, the array with one bad entry, what the error names)
     cases = [
-        (("robots", 0, "base", "translation"), [bad, 0, 0], "base: translation"),
-        (("robots", 0, "base", "rotation"), [0, bad, 0], "base: rotation"),
-        (("robots", 0, "joints", 1, "axis"), [0, 0, bad], "joint 1: axis"),
-        (("robots", 0, "primitives", 0, "p"), [bad, 0, 0], "primitive 0: p"),
-        (("robots", 0, "primitives", 1, "v"), [[0, bad, 0.2]], "primitive 1: v"),
-        (("robots", 0, "q"), [0, 0, bad, 0, 0, 0, 0], "q"),
-        (("obstacles", 0, "p"), [bad, 0, 0], "obstacles[0]: p"),
-        (("objectives", "ee_targets", 0, "local"), [bad, 0, 0], "ee_targets[0]: local"),
-        (("objectives", "ee_targets", 0, "target"), [0, bad, 0], "ee_targets[0]: target"),
+        (("robots", 0, "base", "translation"), [bad, 0, 0], "robots[0].base.translation"),
+        (("robots", 0, "base", "rotation"), [0, bad, 0], "robots[0].base.rotation"),
+        (("robots", 0, "joints", 1, "axis"), [0, 0, bad], "robots[0].joints[1].axis"),
+        (("robots", 0, "primitives", 0, "p"), [bad, 0, 0], "robots[0].primitives[0].p"),
+        (("robots", 0, "primitives", 1, "v"), [[0, bad, 0.2]], "robots[0].primitives[1].v"),
+        (("robots", 0, "q"), [0, 0, bad, 0, 0, 0, 0], "robots[0].q"),
+        (("obstacles", 0, "p"), [bad, 0, 0], "obstacles[0].p"),
+        (("objectives", "ee_targets", 0, "local"), [bad, 0, 0], "objectives.ee_targets[0].local"),
+        (("objectives", "ee_targets", 0, "target"), [0, bad, 0], "objectives.ee_targets[0].target"),
     ]
     for path, value, named in cases:
         doc = json.loads(scene_text("arm7_box"))
@@ -213,9 +214,90 @@ def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
-        with pytest.raises(SceneError, match=re.escape(named)):
+        with pytest.raises(SceneError, match="^" + re.escape(named + ": must be finite numbers")):
             scene_from_dict(doc)
     doc = json.loads(scene_text("arm7_box"))
     doc["objectives"]["state_targets"] = [{"robot": 0, "step": 2, "value": [0] * 12 + [bad]}]
-    with pytest.raises(SceneError, match=re.escape("state_targets[0]: value")):
+    with pytest.raises(SceneError, match="^" + re.escape("objectives.state_targets[0].value: must be finite numbers")):
         scene_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, message",
+    [
+        ("arm7_box", ("robots", 0, "joints", 2), 5, "robots[0].joints[2]: must be an object"),
+        ("arm7_box", ("robots", 0, "primitives", 1), "wrist", "robots[0].primitives[1]: must be an object"),
+        ("two_sphere_swap", ("robots", 1, "name"), ["b"], "robots[1].name: must be a string"),
+        (
+            "two_sphere_swap",
+            ("objectives", "state_targets", 0, "robot"),
+            ["a"],
+            "objectives.state_targets[0].robot: must be a robot name or index",
+        ),
+        ("arm7_box", ("obstacles", 0, "name"), ["block"], "obstacles[0].name: must be a string"),
+        ("minimal", ("settings", "max_outer_iter"), 1, "settings.max_outer_iter: unknown key"),
+        ("two_sphere_swap", ("settings", "broad_phase_slack"), -0.5, "settings.broad_phase_slack: "),
+        ("two_sphere_swap", ("settings", "damping_init"), 0, "settings.damping_init: "),
+        ("minimal", ("weights", "penalty"), 0, "weights.penalty: "),
+        ("minimal", ("weights", "smoothness"), -1, "weights.smoothness: must be >= 0"),
+        ("minimal", ("objectives", "state_targets", 1, "weight"), -10, "objectives.state_targets[1].weight: must be >= 0"),
+        ("minimal", ("settings", "pin_weight"), -1, "settings.pin_weight: must be >= 0"),
+        ("minimal", ("settings", "pin_initial"), 0, "settings.pin_initial: must be a boolean"),
+        ("arm7_box", ("robots", 0, "joints", 0, "limits", "velocity"), -1, "robots[0].joints[0].limits.velocity: must be >= 0"),
+        ("arm7_box", ("robots", 0, "base_limits", "acceleration"), -1, "robots[0].base_limits.acceleration: must be >= 0"),
+        ("arm7_box", ("robots", 0, "joints", 3, "limits", "lower"), 9, "robots[0].joints[3].limits: lower bound exceeds"),
+        ("arm7_box", ("robots", 0, "primitives", 0, "margin"), 0, "robots[0].primitives[0]: capsule margin must be positive"),
+        ("arm7_box", ("robots", 0, "primitives", 1, "link"), 8, "robots[0].primitives[1].link: must be a link"),
+        ("arm7_box", ("robots", 0, "joints", 4, "parent"), 5, "robots[0].joints[4].parent: must be an earlier link"),
+        ("arm7_box", ("objectives", "ee_targets", 0, "link"), 8, "objectives.ee_targets[0].link: must be a link"),
+    ],
+)
+def test_a_rejected_field_is_named_by_its_json_path(name, keys, value, message):
+    doc = json.loads(scene_text(name))
+    node = doc
+    for key in keys[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[keys[-1]] = value
+    with pytest.raises(SceneError, match="^" + re.escape(message)):
+        scene_from_dict(doc)
+
+
+def test_unknown_key_lists_the_allowed_keys():
+    doc = json.loads(scene_text("arm7_box"))
+    doc["robots"][0]["joints"][1]["axes"] = [0, 0, 1]
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(doc)
+    assert str(info.value) == (
+        "robots[0].joints[1].axes: unknown key; the keys allowed here are parent, offset, axis, limits"
+    )
+
+
+def test_base_limits_as_one_object_or_a_list_of_six():
+    doc = json.loads(scene_text("arm7_box"))
+    shared = scene_from_dict(doc).robots[0].base_limits
+    doc["robots"][0]["base_limits"] = [{"lower": 0.0, "upper": 0.0}] * 3 + [None, None, {}]
+    listed = scene_from_dict(doc).robots[0].base_limits
+    assert shared == (LimitSpec(0.0, 0.0),) * 6
+    assert listed == (LimitSpec(0.0, 0.0),) * 3 + (None, None, LimitSpec())
+    doc["robots"][0]["base_limits"] = [None] * 5
+    with pytest.raises(SceneError, match=re.escape("robots[0].base_limits: must have 6 entries")):
+        scene_from_dict(doc)
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def _schema_keys(spec):
+    if isinstance(spec, scene_io._List):
+        return _schema_keys(spec.item)
+    if isinstance(spec, scene_io._Object):
+        return set(spec.keys).union(*(_schema_keys(sub) for sub in spec.keys.values()))
+    return set()
+
+
+def test_readme_scene_format_matches_the_loader():
+    section = README.read_text().split("## Scene format", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert load_scene(example).num_steps == 10
+    undocumented = {key for key in _schema_keys(scene_io._SCENE) if f"`{key}`" not in section}
+    assert not undocumented

@@ -67,6 +67,18 @@ def test_scene_validation():
         )
 
 
+def test_outer_settings_reject_zero_damping_and_negative_slack():
+    # from a zero damping the damping never grows, so the outer loop would not end;
+    # a negative slack would cull penetrating pairs from the collision term
+    for bad in ({"damping_init": 0}, {"damping_init": -1e-3}, {"damping_init": math.nan}):
+        with pytest.raises(ValueError, match="^damping_init must be positive"):
+            OuterSettings(**bad)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="^broad_phase_slack must be non-negative"):
+            OuterSettings(broad_phase_slack=bad)
+    assert OuterSettings(broad_phase_slack=0.0).broad_phase_slack == 0.0
+
+
 def test_candidate_pairs_exclusions():
     # primitives on the same or adjacent links never form pairs; neither do two obstacles
     arm = RobotModel(
