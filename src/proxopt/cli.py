@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
 from .distance import solve_inner
 from .scene_io import SceneError, export_trajectory, scene_from_dict
-from .trajopt import Scene, SolveError, _place_step, solve, validate
+from .trajopt import Scene, SolveError, place_states, solve, validate
 
 
 def _load_scene_file(path: str, overrides: list[str]) -> Scene:
@@ -102,9 +102,9 @@ def cmd_distance(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    world, _ = _place_step(scene, scene.initial_row())
+    placement = place_states(scene, scene.initial_row()[None])
     a, b = by_name[name_a], by_name[name_b]
-    res = solve_inner((world[a], world[b]), scene.inner)
+    res = solve_inner((placement.world(0, a), placement.world(0, b)), scene.inner)
     dist = math.sqrt(res.d_sq)
     clearance = dist - refs[a].margin - refs[b].margin
     if args.machine:

@@ -286,15 +286,6 @@ def robot_placement_jacobian(
     return PlacementJacobian(danchor, dvectors)
 
 
-class LimitValue(NamedTuple):
-    label: str  # e.g. "joint2/velocity" or "base3/position"
-    value: float
-    lower: Optional[float]
-    upper: Optional[float]
-    coord: int  # index into the robot's state vector
-    order: int  # 0 position, 1 velocity, 2 acceleration
-
-
 def _coordinate_limits(robot: RobotModel):
     for c in range(6):
         spec = robot.base_limits[c]
@@ -303,29 +294,3 @@ def _coordinate_limits(robot: RobotModel):
     for k, joint in enumerate(robot.joints):
         if joint.limits is not None:
             yield 6 + k, f"joint{k}", joint.limits
-
-
-def limit_values(
-    robot: RobotModel, states: np.ndarray, h: float, step: int
-) -> list[LimitValue]:
-    """Position, velocity and acceleration limit entries at a 1-based step.
-
-    Velocities and accelerations use backward finite differences; entries whose
-    stencil reaches before the first step are omitted rather than padded.
-    """
-    if not (1 <= step <= len(states)):
-        raise ValueError(f"step {step} out of range 1..{len(states)}")
-    x = states[step - 1]
-    out = []
-    for coord, name, spec in _coordinate_limits(robot):
-        if spec.lower is not None or spec.upper is not None:
-            out.append(LimitValue(f"{name}/position", float(x[coord]), spec.lower, spec.upper, coord, 0))
-        if spec.velocity is not None and step >= 2:
-            v = (x[coord] - states[step - 2][coord]) / h
-            out.append(LimitValue(f"{name}/velocity", float(v), -spec.velocity, spec.velocity, coord, 1))
-        if spec.acceleration is not None and step >= 3:
-            a = (x[coord] - 2.0 * states[step - 2][coord] + states[step - 3][coord]) / h**2
-            out.append(
-                LimitValue(f"{name}/acceleration", float(a), -spec.acceleration, spec.acceleration, coord, 2)
-            )
-    return out

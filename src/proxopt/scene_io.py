@@ -356,20 +356,15 @@ def scene_to_dict(scene: Scene) -> dict:
             }
         )
 
-    # The step-1 pin targets are re-added on load; strip them from the canonical form.
-    initial_rows = [s.to_vector() for s in scene.initial_states]
-    state_targets = []
-    for tgt in scene.objectives.state_targets:
-        if tgt.step == 1 and np.array_equal(tgt.value, initial_rows[tgt.robot]) and tgt.weight >= 1e5:
-            continue
-        state_targets.append(
-            {
-                "step": tgt.step,
-                "robot": scene.robots[tgt.robot].name,
-                "value": list(tgt.value),
-                "weight": tgt.weight,
-            }
-        )
+    state_targets = [
+        {
+            "step": tgt.step,
+            "robot": scene.robots[tgt.robot].name,
+            "value": list(tgt.value),
+            "weight": tgt.weight,
+        }
+        for tgt in scene.objectives.state_targets
+    ]
     ee_targets = [
         {
             "step": tgt.step,
@@ -402,6 +397,8 @@ def scene_to_dict(scene: Scene) -> dict:
             "ftol": scene.outer.ftol,
             "broad_phase_slack": scene.outer.broad_phase_slack,
             "damping_init": scene.outer.damping_init,
+            # every state target is written above, the step-1 pins included
+            "pin_initial": False,
         },
     }
 

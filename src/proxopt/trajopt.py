@@ -253,6 +253,30 @@ class Scene:
             for ref in self._refs
         )
 
+    @cached_property
+    def _limit_index(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple], ...]:
+        """For each stencil order (0 position, 1 velocity, 2 acceleration): the
+        stacked columns it limits, in ascending order, their lower and upper
+        bounds (±inf where a bound is absent) and each column's (robot, label)."""
+        table = ([], [], [])
+        for r, robot in enumerate(self.robots):
+            for coord, name, spec in _coordinate_limits(robot):
+                col = self._robot_offsets[r] + coord
+                if spec.lower is not None or spec.upper is not None:
+                    table[0].append((col, spec.lower, spec.upper, (r, f"{name}/position")))
+                for order, rate, kind in ((1, spec.velocity, "velocity"), (2, spec.acceleration, "acceleration")):
+                    if rate is not None:
+                        table[order].append((col, -rate, rate, (r, f"{name}/{kind}")))
+        return tuple(
+            (
+                np.array([col for col, _, _, _ in entries], dtype=np.intp),
+                np.array([-math.inf if lo is None else lo for _, lo, _, _ in entries], dtype=float),
+                np.array([math.inf if hi is None else hi for _, _, hi, _ in entries], dtype=float),
+                tuple(label for _, _, _, label in entries),
+            )
+            for entries in table
+        )
+
     def robot_state(self, x_row: np.ndarray, robot: int) -> RobotState:
         off = self.robot_offsets[robot]
         return RobotState.from_vector(x_row[off : off + self.robots[robot].dim])
@@ -289,10 +313,6 @@ class Placement:
             self._views[(i, p)] = view
         return view
 
-    def step(self, i: int) -> list[WorldPrimitive]:
-        """Every ref's world primitive at step i."""
-        return [self.world(i, p) for p in range(self.anchors.shape[1])]
-
     def step_frames(self, i: int) -> list[_Frames]:
         """Every robot's link frames at step i."""
         return [frames.step(i) for frames in self.frames]
@@ -323,12 +343,6 @@ def place_states(scene: Scene, states: np.ndarray) -> Placement:
         anchors[:, p] = frames[ref.owner].origins[:, ref.link] + rot @ prim.anchor
         vectors[:, p, : ref.num_params] = prim.vectors @ rot.transpose(0, 2, 1)
     return Placement(scene, anchors, vectors, frames)
-
-
-def _place_step(scene: Scene, x_row: np.ndarray):
-    """World primitives for every ref at one step, plus per-robot frames (place_states at N = 1)."""
-    placement = place_states(scene, np.asarray(x_row, dtype=float)[None])
-    return placement.step(0), placement.step_frames(0)
 
 
 class _LaneGroup:
@@ -517,13 +531,10 @@ class _Accumulator:
     def need_derivs(self) -> bool:
         return self.grad is not None
 
-    def add_block(self, step_a: int, step_b: int, block: np.ndarray):
-        """Add the (d, d) block of steps (step_a, step_b); only its upper-triangle entries are kept."""
-        if step_a > step_b:
-            return
-        d = self.dim
-        p, q = np.triu_indices(d) if step_a == step_b else np.indices((d, d)).reshape(2, -1)
-        self.band[self.bandwidth + (step_a - step_b) * d + p - q, step_b * d + q] += block[p, q]
+    def add_block(self, step: int, block: np.ndarray):
+        """Add the upper triangle of a (d, d) block to the diagonal block of one step."""
+        p, q = np.triu_indices(self.dim)
+        self.band[self.bandwidth + p - q, step * self.dim + q] += block[p, q]
 
 
 def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
@@ -560,10 +571,7 @@ def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -
         value += tgt.weight * float(e @ e)
         if acc.need_derivs:
             acc.grad[i, off : off + robot.dim] += 2.0 * tgt.weight * e
-            block = np.zeros((acc.dim, acc.dim))
-            idx = np.arange(off, off + robot.dim)
-            block[idx, idx] = 2.0 * tgt.weight
-            acc.add_block(i, i, block)
+            acc.band[-1, i * acc.dim + off : i * acc.dim + off + robot.dim] += 2.0 * tgt.weight
     for tgt in scene.objectives.ee_targets:
         robot = scene.robots[tgt.robot]
         off = offsets[tgt.robot]
@@ -578,74 +586,77 @@ def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -
             acc.grad[i, off : off + robot.dim] += 2.0 * tgt.weight * (e @ jac)
             block = np.zeros((acc.dim, acc.dim))
             block[off : off + robot.dim, off : off + robot.dim] = 2.0 * tgt.weight * (jac.T @ jac)
-            acc.add_block(i, i, block)
+            acc.add_block(i, block)
     return value
+
+
+def _stencil(order: int, h: float) -> tuple[float, ...]:
+    """The weights of x_i, x_{i−1}, x_{i−2} in the backward difference of `order` over step h."""
+    return ((1.0,), (1.0 / h, -1.0 / h), (1.0 / h**2, -2.0 / h**2, 1.0 / h**2))[order]
+
+
+def _stencil_values(states, order: int, columns: np.ndarray, h: float) -> np.ndarray:
+    """Position (order 0), velocity (1) or acceleration (2) of `columns` at 0-based steps order..N−1.
+
+    Row k is c0·x_{k+order} + c1·x_{k+order−1} (+ c2·x_{k+order−2}) with the
+    weights of _stencil, so a stencil that reaches before the first step is
+    omitted rather than padded. Shape (N − order, len(columns)).
+    """
+    x = states[:, columns]
+    n = len(x)
+    coeffs = _stencil(order, h)
+    v = coeffs[0] * x[order:]
+    for back, c in enumerate(coeffs[1:], 1):
+        v = v + c * x[order - back : n - back]
+    return v
 
 
 def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, float]:
     """Returns (weighted value, worst raw bound violation).
 
-    Each stencil is evaluated at all steps at once, summing its terms in
-    stencil order. The entries that violate a bound are then added in step
-    order: np.add.accumulate sums the value sequentially, and each gradient or
-    band element receives its contributions in increasing step order, so
-    the sums round exactly as a loop over every entry would.
+    Each stencil order is evaluated at all its columns and steps at once. The
+    value adds the violating entries in (column, order, step) order with
+    np.add.accumulate, and each gradient or band element receives its
+    contributions order by order and stencil entry by stencil entry, so the
+    sums round exactly as a loop over every entry would.
     """
     w = scene.objectives.w_limit
-    h = scene.h
-    n = len(states)
     dim = states.shape[1]
-    value = 0.0
     worst = 0.0
-    stencils = {
-        0: ((0, 1.0),),
-        1: ((0, 1.0 / h), (-1, -1.0 / h)),
-        2: ((0, 1.0 / h**2), (-1, -2.0 / h**2), (-2, 1.0 / h**2)),
-    }
-    for r, robot in enumerate(scene.robots):
-        off = scene.robot_offsets[r]
-        for coord, _name, spec in _coordinate_limits(robot):
-            col = off + coord
-            checks = []
-            if spec.lower is not None or spec.upper is not None:
-                checks.append((0, spec.lower, spec.upper))
-            if spec.velocity is not None:
-                checks.append((1, -spec.velocity, spec.velocity))
-            if spec.acceleration is not None:
-                checks.append((2, -spec.acceleration, spec.acceleration))
-            for order, lo, hi in checks:
-                if order >= n:
-                    continue
-                stencil = stencils[order]
-                column = states[:, col]
-                v = stencil[0][1] * column[order:]
-                for d, c in stencil[1:]:
-                    v = v + c * column[order + d : n + d]
-                # One-sided quadratic barriers toward [lo, hi]; the upper bound wins.
-                e = np.zeros_like(v)
-                if lo is not None:
-                    below = v < lo
-                    e[below] = v[below] - lo
-                if hi is not None:
-                    above = v > hi
-                    e[above] = v[above] - hi
-                phi = e * e
-                hit = np.flatnonzero(phi != 0.0)
-                if not len(hit):
-                    continue
-                phi, e, steps = phi[hit], e[hit], hit + order
-                value = float(np.add.accumulate(np.concatenate(([value], w * phi)))[-1])
-                worst = max(worst, float(np.sqrt(phi.max())))
-                if acc.need_derivs:
-                    slope = w * (2.0 * e)
-                    for d, c in stencil:
-                        acc.grad[steps + d, col] += slope * c
-                    for da, ca in stencil:
-                        for db, cb in stencil:
-                            if da <= db:
-                                row = acc.bandwidth + (da - db) * dim
-                                acc.band[row, (steps + db) * dim + col] += w * 2.0 * ca * cb
-    return value, worst
+    hit_columns, terms = [], []
+    for order, (columns, lower, upper, _) in enumerate(scene._limit_index):
+        if not len(columns):
+            continue
+        v = _stencil_values(states, order, columns, scene.h).T  # (column, step)
+        # One-sided quadratic barriers toward [lo, hi]; the upper bound wins.
+        e = np.zeros_like(v)
+        for bound, outside in ((lower, v < lower[:, None]), (upper, v > upper[:, None])):
+            k, i = np.nonzero(outside)
+            e[k, i] = v[k, i] - bound[k]
+        phi = e * e
+        k, i = np.nonzero(phi != 0.0)
+        if not len(k):
+            continue
+        phi, e, steps, col = phi[k, i], e[k, i], i + order, columns[k]
+        hit_columns.append(col)
+        terms.append(w * phi)
+        worst = max(worst, float(np.sqrt(phi.max())))
+        if acc.need_derivs:
+            coeffs = _stencil(order, scene.h)
+            slope = w * (2.0 * e)
+            for back, c in enumerate(coeffs):
+                acc.grad[steps - back, col] += slope * c
+            for back_a, ca in enumerate(coeffs):
+                for back_b, cb in enumerate(coeffs):
+                    if back_a >= back_b:
+                        row = acc.bandwidth + (back_b - back_a) * dim
+                        acc.band[row, (steps - back_b) * dim + col] += w * 2.0 * ca * cb
+    if not terms:
+        return 0.0, worst
+    # The hits come in (order, column, step) order; a stable sort by column
+    # makes it (column, order, step).
+    terms = np.concatenate(terms)[np.argsort(np.concatenate(hit_columns), kind="stable")]
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1]), worst
 
 
 def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
@@ -700,7 +711,7 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
             # the curvature term e * d²(d_sq)/dx² is negative semidefinite
             # and only degrades the Newton direction; keep the PSD part.
             block = (2.0 * w_ca) * np.outer(grad, grad)
-            acc.add_block(i, i, block)
+            acc.add_block(i, block)
     return value, new_warm, min_clearance, max_violation
 
 
@@ -875,49 +886,40 @@ def solve(
             converged, reason = True, "grad_tol"
             break
 
+        # scipy rejects a non-finite system, and no damping makes it finite
+        finite = bool(np.isfinite(grad_flat).all() and np.isfinite(acc.band).all())
         accepted = False
-        alpha = 0.0
         while not accepted:
-            try:
-                direction = solveh_banded(_to_banded(acc.band, lam), -grad_flat, lower=False)
-            except np.linalg.LinAlgError:
-                lam *= s.damping_factor
-                if lam > s.damping_max:
-                    history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
-                    return Trajectory(states, scene.h), SolveReport(
-                        history, False, "damping_overflow", value, min_clear
+            # A failed factorization, a non-finite system or a non-descent
+            # direction raises the damping; so does a failed line search.
+            slope, failure = math.nan, "damping_overflow"
+            if finite:
+                try:
+                    direction = solveh_banded(_to_banded(acc.band, lam), -grad_flat, lower=False)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    slope = float(grad_flat @ direction)
+            if slope < 0.0:
+                failure = "line_search_failure"
+                alpha = 1.0
+                for _ in range(s.ls_max_halvings):
+                    cand = states + alpha * direction.reshape(states.shape)
+                    cand_lanes = _lanes_at(scene, cand, s.broad_phase_slack, warm)
+                    cand_value, _, cand_warm, _, _, _ = _evaluate(
+                        scene, cand, warm, False, s.broad_phase_slack, lanes=cand_lanes
                     )
-                continue
-            slope = float(grad_flat @ direction)
-            if slope >= 0.0:
-                lam *= s.damping_factor
-                if lam > s.damping_max:
-                    history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
-                    return Trajectory(states, scene.h), SolveReport(
-                        history, False, "damping_overflow", value, min_clear
-                    )
-                continue
-
-            alpha = 1.0
-            for _ in range(s.ls_max_halvings):
-                cand = states + alpha * direction.reshape(states.shape)
-                cand_lanes = _lanes_at(scene, cand, s.broad_phase_slack, warm)
-                cand_value, _, cand_warm, _, _, _ = _evaluate(
-                    scene, cand, warm, False, s.broad_phase_slack, lanes=cand_lanes
-                )
-                if cand_value <= value + s.ls_sufficient_decrease * alpha * slope:
-                    states, lanes = cand, cand_lanes
-                    warm.update(cand_warm)
-                    accepted = True
-                    break
-                alpha *= s.ls_backtrack
+                    if cand_value <= value + s.ls_sufficient_decrease * alpha * slope:
+                        states, lanes = cand, cand_lanes
+                        warm.update(cand_warm)
+                        accepted = True
+                        break
+                    alpha *= s.ls_backtrack
             if not accepted:
                 lam *= s.damping_factor
                 if lam > s.damping_max:
                     history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
-                    return Trajectory(states, scene.h), SolveReport(
-                        history, False, "line_search_failure", value, min_clear
-                    )
+                    return Trajectory(states, scene.h), SolveReport(history, False, failure, value, min_clear)
 
         history.append(IterationStats(value, grad_inf, lam, alpha, min_clear, max_viol, num_active))
         # Trust-region style damping update: only relax when the full step was
@@ -995,13 +997,10 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     on its squared distance, so each reported clearance is at or below the true
     clearance (up to rounding), whether or not the pair's inner solve converged.
     """
-    from .kinematics import limit_values
-
     refs = scene.primitive_refs()
     placement = place_states(scene, traj.states)
     per_step = []
     violations = []
-    limit_viols = []
     for i in range(traj.num_steps):
         step_min = math.inf
         for a, b in scene.candidate_pairs():
@@ -1012,15 +1011,17 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
             if not clearance >= 0.0:  # a NaN clearance is a violation too
                 violations.append(ClearanceRecord(i + 1, (refs[a].name, refs[b].name), clearance))
         per_step.append(step_min)
-        for r, robot in enumerate(scene.robots):
-            off = scene.robot_offsets[r]
-            block = traj.states[:, off : off + robot.dim]
-            for entry in limit_values(robot, block, traj.h, i + 1):
-                over = 0.0
-                if entry.upper is not None and entry.value > entry.upper:
-                    over = entry.value - entry.upper
-                if entry.lower is not None and entry.value < entry.lower:
-                    over = max(over, entry.lower - entry.value)
-                if over > 0.0:
-                    limit_viols.append(LimitViolation(i + 1, robot.name, entry.label, over))
+    # The planner's stencil values over traj.h; each entry outside its bounds,
+    # keyed by (step, column, order): step, then robot and coordinate, then order.
+    entries = []
+    for order, (columns, lower, upper, names) in enumerate(scene._limit_index):
+        v = _stencil_values(traj.states, order, columns, traj.h)
+        i, k = np.nonzero((v > upper) | (v < lower))
+        over = np.maximum(v[i, k] - upper[k], lower[k] - v[i, k])
+        for step, c, amount in zip((i + order).tolist(), k.tolist(), over.tolist()):
+            entries.append((step, columns[c], order, names[c], amount))
+    entries.sort(key=lambda entry: entry[:3])
+    limit_viols = [
+        LimitViolation(step + 1, scene.robots[r].name, label, amount) for step, _, _, (r, label), amount in entries
+    ]
     return ValidationReport(per_step, violations, limit_viols)

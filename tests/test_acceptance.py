@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from proxopt.bench import bench_approx
 from proxopt.distance import InnerSettings, solve_inner
@@ -31,7 +30,7 @@ from proxopt.primitives import Kind, Primitive, WorldPrimitive
 from proxopt.scene_io import load_scene
 from proxopt.sensitivity import pair_derivatives, sensitivity_matrix
 from proxopt.trajopt import Scene, solve, validate
-from conftest import scene_text
+from conftest import exact_distance, scene_text
 
 TIGHT = InnerSettings(grad_tol=1e-12, max_iters=80)
 NUM_PARAMS = {Kind.SPHERE: 0, Kind.CAPSULE: 1, Kind.RECTANGLE: 2, Kind.BOX: 3}
@@ -231,22 +230,6 @@ def test_criterion_3_sensitivity_audit():
     assert ok
 
 
-def _exact_oracle(pair) -> float:
-    """Exact hard box-constrained distance.
-
-    The difference of parameterized points is affine in t, so the minimization
-    is a bounded linear least-squares problem; an off-the-shelf convex solver
-    gives the global minimum independently of the Newton pipeline under test.
-    """
-    a, b = pair
-    m = np.vstack([a.vectors, -b.vectors]).T
-    base = a.anchor - b.anchor
-    if m.shape[1] == 0:
-        return float(np.linalg.norm(base))
-    res = lsq_linear(m, -base, bounds=(0.0, 1.0), method="trf", tol=1e-14)
-    return float(np.linalg.norm(m @ res.x + base))
-
-
 def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(4)
     reps = 1000
@@ -259,7 +242,7 @@ def test_criterion_4_oracle_equivalence():
         na, nb = NUM_PARAMS[kinds[0]], NUM_PARAMS[kinds[1]]
         for _ in range(reps):
             pair = (_fast_world(na, rng, 0.75), _fast_world(nb, rng, 0.75))
-            oracle = _exact_oracle(pair)
+            oracle = exact_distance(pair)
             for j, settings in enumerate(sweep):
                 d_sq = solve_inner(pair, settings).d_sq
                 sums[j] += abs(math.sqrt(d_sq) - oracle)

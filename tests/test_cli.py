@@ -8,7 +8,7 @@ from proxopt import gradcheck as gradcheck_mod
 from proxopt.cli import main
 from proxopt.distance import brute_force_distance
 from proxopt.scene_io import load_scene, parse_trajectory_csv
-from proxopt.trajopt import _place_step, solve, validate
+from proxopt.trajopt import place_states, solve, validate
 from conftest import SCENES, scene_text
 
 
@@ -147,6 +147,18 @@ def test_plan_nonconvergence_exit_code(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("weight", ["smoothness", "collision"])
+def test_plan_with_a_non_finite_newton_system_exits_2(tmp_path, capsys, weight):
+    out = tmp_path / "t.csv"
+    code = main(["plan", _scene_path("two_sphere_swap"), "-o", str(out), "--set", f"weights.{weight}=1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "damping_overflow" in err
+    report = json.loads((tmp_path / "t.csv.report.json").read_text())
+    assert report["reason"] == "damping_overflow" and report["num_iterations"] == 1
+    assert out.exists()
+
+
 def test_distance_static_spheres(capsys):
     code = main(["distance", _scene_path("spheres_static"), "--pair", "a_sphere:b_sphere"])
     assert code == 0
@@ -175,8 +187,8 @@ def test_distance_matches_oracle(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     scene = load_scene(scene_text("capsule_box"))
-    world, _ = _place_step(scene, scene.initial_row())
-    oracle = brute_force_distance((world[0], world[1]), 16, passes=6)
+    placement = place_states(scene, scene.initial_row()[None])
+    oracle = brute_force_distance((placement.world(0, 0), placement.world(0, 1)), 16, passes=6)
     assert abs(math.sqrt(doc["d_sq"]) - math.sqrt(oracle)) < 1e-3
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import lsq_linear
 
 from proxopt.distance import (
     DEFAULT_INNER,
@@ -19,6 +18,7 @@ from proxopt.distance import (
 from proxopt.pairs import KIND_PAIRS, near_parallel_capsules, place_pair, random_pair
 from proxopt.poses import Pose
 from proxopt.primitives import Kind, Primitive, WorldPrimitive, place
+from conftest import exact_distance
 
 
 def _sphere(center, radius=0.1):
@@ -178,20 +178,6 @@ def test_brute_force_self_consistency():
         assert abs(lo - hi) < 1e-6
 
 
-def _exact_distance(pair, method="trf"):
-    # The difference of the two closest points is affine in the combined
-    # parameter vector, so the box-constrained minimum distance is a bounded
-    # linear least-squares problem that an off-the-shelf convex solver can
-    # nail exactly, independently of the Newton pipeline under test.
-    a, b = pair
-    m = np.vstack([a.vectors, -b.vectors]).T if a.num_params + b.num_params else np.zeros((3, 0))
-    base = a.anchor - b.anchor
-    if m.shape[1] == 0:
-        return float(np.linalg.norm(base))
-    sol = lsq_linear(m, -base, bounds=(0.0, 1.0), method=method, tol=1e-14)
-    return float(np.linalg.norm(m @ sol.x + base))
-
-
 def test_solver_matches_oracle():
     rng = np.random.default_rng(14)
     res_by_dim = {0: 2, 1: 512, 2: 128, 3: 24, 4: 16, 5: 12, 6: 10}
@@ -200,7 +186,7 @@ def test_solver_matches_oracle():
             pair, x = random_pair(kinds, rng)
             world = place_pair(pair, x)
             dim = world[0].num_params + world[1].num_params
-            exact = _exact_distance(world)
+            exact = exact_distance(world)
             # every grid sample is an exact evaluation, so the grid search can
             # only overestimate the true minimum
             grid = np.sqrt(brute_force_distance(world, res_by_dim[dim], passes=6))
@@ -237,14 +223,12 @@ def test_solve_inner_reaches_reference_stationary_point():
 
 
 def test_certified_distance_brackets_exact_distance():
-    # bvls is lsq_linear's active-set method and exact up to rounding; trf at
-    # tol=1e-14 can stop ~1e-10 above the minimum of d^2, too loose for 1e-12.
     rng = np.random.default_rng(16)
     for kinds in KIND_PAIRS:
         for _ in range(100):
             pair, x = random_pair(kinds, rng)
             world = place_pair(pair, x)
-            exact_sq = _exact_distance(world, "bvls") ** 2
+            exact_sq = exact_distance(world) ** 2
             lower_sq, upper_sq = certified_distance(world)
             assert lower_sq <= exact_sq + 1e-12
             assert upper_sq >= exact_sq - 1e-12
@@ -262,7 +246,7 @@ def test_certified_distance_holds_without_inner_convergence():
             pair, x = random_pair(kinds, rng)
             world = place_pair(pair, x)
             not_converged += not solve_inner(world, one_step).converged
-            exact_sq = _exact_distance(world, "bvls") ** 2
+            exact_sq = exact_distance(world) ** 2
             lower_sq, upper_sq = certified_distance(world, one_step)
             assert 0.0 <= lower_sq <= exact_sq + 1e-12
             assert upper_sq >= exact_sq - 1e-12

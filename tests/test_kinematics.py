@@ -9,13 +9,13 @@ from proxopt.kinematics import (
     fk_jacobian,
     fk_vector_jacobian,
     forward_kinematics,
-    limit_values,
     link_frames,
     place_on_robot,
     robot_placement_jacobian,
 )
 from proxopt.poses import Pose
 from proxopt.primitives import Kind, Primitive
+from proxopt.trajopt import Scene, Trajectory, _stencil_values, validate
 
 
 def _chain(n, rng=None):
@@ -162,15 +162,30 @@ def _limited_robot():
     )
 
 
+def _limit_values(robot, states, h):
+    """Every limited stencil value of a one-robot trajectory, by label, over the steps it reaches."""
+    scene = Scene([robot], [RobotState(Pose())], num_steps=len(states), h=h)
+    values = {}
+    for order, (columns, _, _, names) in enumerate(scene._limit_index):
+        v = _stencil_values(states, order, columns, h)
+        for c, (_, label) in enumerate(names):
+            values[label] = v[:, c]
+    return values
+
+
+def _limit_report(robot, states, h):
+    scene = Scene([robot], [RobotState(Pose())], num_steps=len(states), h=h)
+    return [(v.step, v.robot, v.label, v.amount) for v in validate(scene, Trajectory(states, h)).limit_violations]
+
+
 def test_limit_values_constant_trajectory():
     robot = _limited_robot()
     states = np.tile(np.concatenate([np.zeros(6), [0.5]]), (5, 1))
-    for step in range(1, 6):
-        for entry in limit_values(robot, states, 0.1, step):
-            if entry.order == 0:
-                assert entry.value == 0.5
-            else:
-                assert entry.value == 0.0
+    values = _limit_values(robot, states, 0.1)
+    assert values["joint0/position"].tolist() == [0.5] * 5
+    assert values["joint0/velocity"].tolist() == [0.0] * 4
+    assert values["joint0/acceleration"].tolist() == [0.0] * 3
+    assert _limit_report(robot, states, 0.1) == []
 
 
 def test_limit_values_linear_trajectory():
@@ -179,10 +194,17 @@ def test_limit_values_linear_trajectory():
     states = np.zeros((6, 7))
     states[:, 6] = 0.3 * steps
     h = 0.1
-    entries = limit_values(robot, states, h, 4)
-    by_label = {e.label: e for e in entries}
-    assert np.isclose(by_label["joint0/velocity"].value, 3.0)
-    assert np.isclose(by_label["joint0/acceleration"].value, 0.0)
+    values = _limit_values(robot, states, h)
+    assert np.allclose(values["joint0/velocity"], 3.0)
+    assert np.allclose(values["joint0/acceleration"], 0.0)
+    # the velocity bound 2 is exceeded from step 2 on, the position bound 1 at steps 5 and 6
+    report = _limit_report(robot, states, h)
+    expected = [(i, "joint0/velocity", 1.0) for i in range(2, 7)]
+    expected[3:3] = [(5, "joint0/position", 0.2)]
+    expected[5:5] = [(6, "joint0/position", 0.5)]
+    assert [(step, label) for step, _, label, _ in report] == [(step, label) for step, label, _ in expected]
+    assert all(robot_name == "lim" for _, robot_name, _, _ in report)
+    assert np.allclose([amount for *_, amount in report], [amount for *_, amount in expected])
 
 
 def test_limit_values_quadratic_trajectory():
@@ -192,17 +214,22 @@ def test_limit_values_quadratic_trajectory():
     states = np.zeros((8, 7))
     states[:, 6] = a * steps**2
     h = 0.2
-    entries = limit_values(robot, states, h, 5)
-    by_label = {e.label: e for e in entries}
-    assert np.isclose(by_label["joint0/acceleration"].value, 2 * a / h**2)
+    values = _limit_values(robot, states, h)
+    assert len(values["joint0/acceleration"]) == 6
+    assert np.allclose(values["joint0/acceleration"], 2 * a / h**2)
 
 
 def test_limit_values_omits_boundary_stencils():
     robot = _limited_robot()
+    values = _limit_values(robot, np.zeros((4, 7)), 0.1)
+    assert [len(values[f"joint0/{kind}"]) for kind in ("position", "velocity", "acceleration")] == [4, 3, 2]
+    # every stencil that exists violates its bound; validate lists them by step, then order
     states = np.zeros((4, 7))
-    labels_1 = [e.label for e in limit_values(robot, states, 0.1, 1)]
-    assert labels_1 == ["joint0/position"]
-    labels_2 = [e.label for e in limit_values(robot, states, 0.1, 2)]
-    assert "joint0/velocity" in labels_2 and "joint0/acceleration" not in labels_2
-    with pytest.raises(ValueError):
-        limit_values(robot, states, 0.1, 5)
+    states[:, 6] = [5.0, -5.0, 5.0, -5.0]
+    labels = [(step, label.split("/")[1]) for step, _, label, _ in _limit_report(robot, states, 0.1)]
+    assert labels == [
+        (1, "position"),
+        (2, "position"), (2, "velocity"),
+        (3, "position"), (3, "velocity"), (3, "acceleration"),
+        (4, "position"), (4, "velocity"), (4, "acceleration"),
+    ]

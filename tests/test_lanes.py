@@ -169,7 +169,7 @@ def _reference_collision_penalty(scene, states, placement, active, warm, acc):
                 jb = _ref_jacobian(scene, states[i], refs[b], frames, pair[1].num_params)
                 ders = pair_derivatives(pair, (ja, jb), res, scene.inner)
                 acc.grad[i] += (2.0 * w_ca * e) * ders.grad_x
-                acc.add_block(i, i, (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x))
+                acc.add_block(i, (2.0 * w_ca) * np.outer(ders.grad_x, ders.grad_x))
     return value, new_warm, min_clearance, max_violation
 
 

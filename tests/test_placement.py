@@ -2,7 +2,7 @@
 
 `link_frames` and `place_states` place all N steps in one array pass, the
 broad phase tests all steps at once and `limit_penalty` evaluates each stencil
-over all steps. The FK Jacobians take one cross product over all ancestor
+order over all limited columns and steps, the values `validate` reads. The FK Jacobians take one cross product over all ancestor
 joints, and the smoothness and limit terms add straight into the Hessian's
 upper band. The reference functions below do the same work one step, one
 joint, one block and one entry at a time, as the solver did before, on a
@@ -35,7 +35,6 @@ from proxopt.trajopt import (
     Objectives,
     Scene,
     Trajectory,
-    _place_step,
     broad_phase_rows,
     limit_penalty,
     place_states,
@@ -138,6 +137,31 @@ def _reference_limit_penalty(scene, states, grad, hess):
                             blk[col, col] = w * ddphi * ca * cb
                             hess[(i + da) * dim : (i + da + 1) * dim, (i + db) * dim : (i + db + 1) * dim] += blk
     return value
+
+
+def _reference_limit_violations(scene, states, h):
+    """validate's limit violations one step, robot, coordinate and order at a
+    time, with the velocity and acceleration written as differences over h."""
+    out = []
+    for i, x in enumerate(states):
+        for r, robot in enumerate(scene.robots):
+            off = scene.robot_offsets[r]
+            for coord, name, spec in trajopt._coordinate_limits(robot):
+                col = off + coord
+                checks = []
+                if spec.lower is not None or spec.upper is not None:
+                    checks.append(("position", x[col], spec.lower, spec.upper))
+                if spec.velocity is not None and i >= 1:
+                    v = (x[col] - states[i - 1, col]) / h
+                    checks.append(("velocity", v, -spec.velocity, spec.velocity))
+                if spec.acceleration is not None and i >= 2:
+                    a = (x[col] - 2.0 * states[i - 1, col] + states[i - 2, col]) / h**2
+                    checks.append(("acceleration", a, -spec.acceleration, spec.acceleration))
+                for kind, value, lo, hi in checks:
+                    over = max(0.0 if hi is None else value - hi, 0.0 if lo is None else lo - value)
+                    if over > 0.0:
+                        out.append((i + 1, robot.name, f"{name}/{kind}", over))
+    return out
 
 
 def _reference_smoothness(states, h, w_s, grad, hess):
@@ -286,14 +310,14 @@ def test_batched_frames_and_placement_match_per_step(name):
             for ref_part, batched_part, single_part in zip(frames[r], placement.frames[r], single):
                 assert np.abs(batched_part[i] - ref_part).max(initial=0.0) <= 1e-12
                 assert np.abs(single_part - ref_part).max(initial=0.0) <= 1e-12
-        one_step, _ = _place_step(scene, row)
+        one_step = place_states(scene, row[None])
         for p, ref in enumerate(scene.primitive_refs()):
             anchor, vectors = world[p].anchor, world[p].vectors
             num_params = world[p].num_params
             assert np.abs(placement.anchors[i, p] - anchor).max() <= 1e-12
             assert np.abs(placement.vectors[i, p, :num_params] - vectors).max(initial=0.0) <= 1e-12
             assert not placement.vectors[i, p, num_params:].any()
-            for view in (placement.world(i, p), one_step[p]):
+            for view in (placement.world(i, p), one_step.world(0, p)):
                 assert view.num_params == num_params and view.margin == ref.margin
                 assert np.abs(view.anchor - anchor).max() <= 1e-12
                 assert np.abs(view.vectors - vectors).max(initial=0.0) <= 1e-12
@@ -362,6 +386,20 @@ def test_limit_penalty_adds_in_the_per_entry_order(num_steps):
     assert math.isfinite(value) and worst > 0.0
     assert np.array_equal(acc.grad, ref_grad)
     assert np.array_equal(acc.band, _upper_band(ref_hess, acc.bandwidth))
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 3, 50])
+def test_validate_limit_violations_follow_the_per_step_order(num_steps):
+    # validate reads the planner's stencil values, so amounts round differently
+    # from the differences over h, but the list and its order are the same
+    scene = _two_robot_scene(num_steps)
+    states = _random_states(scene, 9, num_steps) * 2.0
+    report = trajopt.validate(scene, Trajectory(states, 0.037))
+    expected = _reference_limit_violations(scene, states, 0.037)
+    assert len(expected) > 0
+    assert [(v.step, v.robot, v.label) for v in report.limit_violations] == [e[:3] for e in expected]
+    for v, (*_, amount) in zip(report.limit_violations, expected):
+        assert abs(v.amount - amount) <= 1e-12 * amount
 
 
 @pytest.mark.parametrize("num_steps", [1, 2, 3, 50])

@@ -147,6 +147,17 @@ def test_round_trip_is_identity():
         assert scene_to_dict(again) == scene_to_dict(scene)
 
 
+@pytest.mark.parametrize("settings, count", [({"pin_initial": False}, 2), ({"pin_weight": 1000}, 3)])
+def test_round_trip_keeps_the_state_targets(settings, count):
+    doc = json.loads(scene_text("minimal"))
+    doc["settings"] = settings
+    scene = scene_from_dict(doc)
+    again = load_scene(save_scene(scene))
+    targets = [(t.step, t.robot, t.value.tolist(), t.weight) for t in scene.objectives.state_targets]
+    assert len(targets) == count
+    assert [(t.step, t.robot, t.value.tolist(), t.weight) for t in again.objectives.state_targets] == targets
+
+
 def test_export_csv_single_step():
     scene = load_scene(scene_text("spheres_static"))
     traj = Trajectory(scene.initial_row()[None, :], scene.h)

@@ -20,7 +20,6 @@ from proxopt.trajopt import (
     EETarget,
     Trajectory,
     _evaluate,
-    _place_step,
     broad_phase,
     broad_phase_rows,
     collision_penalty,
@@ -32,8 +31,7 @@ from proxopt.trajopt import (
     solve,
     validate,
 )
-from conftest import scene_text
-from test_distance import _exact_distance
+from conftest import exact_distance, scene_text
 
 
 def _sphere_robot(name, margin=0.25):
@@ -415,13 +413,13 @@ def test_validate_is_sound_when_inner_solves_stop_early():
     report = validate(scene, traj)
     refs = scene.primitive_refs()
     not_converged = 0
-    for i, row in enumerate(traj.states):
-        world, _ = _place_step(scene, row)
+    placement = place_states(scene, traj.states)
+    for i in range(traj.num_steps):
         exact = math.inf
         for a, b in scene.candidate_pairs():
-            pair = (world[a], world[b])
+            pair = (placement.world(i, a), placement.world(i, b))
             not_converged += not solve_inner(pair, scene.inner).converged
-            d = _exact_distance(pair, "bvls")
+            d = exact_distance(pair)
             exact = min(exact, d - refs[a].margin - refs[b].margin)
         assert report.min_clearance_per_step[i] <= exact + 1e-12
     assert not_converged > 0
@@ -445,6 +443,27 @@ def test_solve_respects_max_iters():
     assert not report.converged
     assert report.reason == "max_iters"
     assert report.num_iterations == 1
+
+
+def test_solve_stops_with_damping_overflow():
+    # the Newton systems are too ill conditioned for any damping up to damping_max
+    doc = json.loads(scene_text("two_sphere_swap"))
+    doc["weights"] = {"smoothness": 1e150}
+    _, report = solve(scene_from_dict(doc))
+    assert not report.converged
+    assert report.reason == "damping_overflow"
+    assert report.num_iterations == 1
+    assert report.iterations[0].damping > OuterSettings().damping_max
+
+
+def test_solve_stops_with_line_search_failure():
+    # no trial step at all, and the first raise of the damping passes damping_max
+    scene = load_scene(scene_text("two_sphere_swap"))
+    traj, report = solve(scene, settings=OuterSettings(ls_max_halvings=0, damping_max=1e-8))
+    assert not report.converged
+    assert report.reason == "line_search_failure"
+    assert report.num_iterations == 1
+    assert np.array_equal(traj.states, default_trajectory(scene).states)
 
 
 def _nan_sphere_swap():
