@@ -224,6 +224,12 @@ def _setting(cls, name: str, kind: str = _NUMBER) -> _Field:
     return _Field(kind, getattr(cls, name), check=lambda value: cls(**{name: value}))
 
 
+def _time_step(h: float) -> None:
+    # The acceleration stencil weighs x_{i-1} by -2/h²; an infinite weight makes the objective NaN.
+    if not (h**2 > 0.0 and math.isfinite(2.0 / h**2)):
+        raise ValueError(f"must be large enough that 2/h² is finite, got {h!r}")
+
+
 _ZERO = (0.0, 0.0, 0.0)
 _POSE = _Object({"translation": _Field(_VECTOR, _ZERO), "rotation": _Field(_VECTOR, _ZERO)},
                 lambda v, path: Pose(v["translation"], v["rotation"]), null=True)
@@ -253,7 +259,8 @@ _OBJECTIVES = {
         _Object({**_TARGET, "link": _Field(_INTEGER), "local": _Field(_VECTOR, _ZERO), "target": _Field(_VECTOR)})
     ),
 }
-_HORIZON = {"steps": _Field(_INTEGER, Scene.num_steps, min=1), "h": _Field(_NUMBER, Scene.h, min=0, strict=True)}
+_HORIZON = {"steps": _Field(_INTEGER, Scene.num_steps, min=1),
+            "h": _Field(_NUMBER, Scene.h, min=0, strict=True, check=_time_step)}
 _WEIGHTS = {
     "smoothness": _Field(_NUMBER, Objectives.w_smooth, min=0),
     "collision": _Field(_NUMBER, Objectives.w_collision, min=0),

@@ -100,22 +100,25 @@ class Objectives:
     w_limit: float = 1e3
 
 
+# solve's backtracking line search (Armijo) and damping schedule
+LS_BACKTRACK = 0.5
+LS_MAX_HALVINGS = 20
+LS_SUFFICIENT_DECREASE = 1e-4
+DAMPING_FACTOR = 10.0
+DAMPING_MIN = 1e-10
+DAMPING_MAX = 1e12
+
+
 @dataclass
 class OuterSettings:
     max_outer_iters: int = 500
     grad_tol: float = 1e-6
     ftol: float = 1e-10
-    ls_backtrack: float = 0.5
-    ls_max_halvings: int = 20
-    ls_sufficient_decrease: float = 1e-4
     damping_init: float = 1e-8
-    damping_factor: float = 10.0
-    damping_min: float = 1e-10
-    damping_max: float = 1e12
     broad_phase_slack: float = 0.1
 
     def __post_init__(self):
-        # From a zero damping, `lam *= damping_factor` never reaches damping_max;
+        # From a zero damping, `lam *= DAMPING_FACTOR` never reaches DAMPING_MAX;
         # a negative slack culls penetrating pairs, which _evaluate reads as clear.
         if not self.damping_init > 0:
             raise ValueError(f"damping_init must be positive, got {self.damping_init}")
@@ -231,12 +234,11 @@ class Scene:
         return np.array([ref.margin for ref in self._refs]), pairs[:, 0], pairs[:, 1]
 
     @cached_property
-    def _lane_index(self) -> tuple[dict, np.ndarray, list[tuple[int, int]]]:
-        """Every candidate pair's slot, its (La, Lb) group, and each group's (La, Lb)."""
-        slots = {pair: c for c, pair in enumerate(self._pairs)}
+    def _lane_index(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Every candidate pair's (La, Lb) group, and each group's (La, Lb)."""
         shape_of = [(self._refs[a].num_params, self._refs[b].num_params) for a, b in self._pairs]
         shapes = sorted(set(shape_of))
-        return slots, np.array([shapes.index(shape) for shape in shape_of], dtype=np.intp), shapes
+        return np.array([shapes.index(shape) for shape in shape_of], dtype=np.intp), shapes
 
     @cached_property
     def _chain_index(self) -> tuple[Optional[tuple[int, int, np.ndarray]], ...]:
@@ -351,7 +353,7 @@ class _LaneGroup:
     __slots__ = ("lanes", "anchor_a", "vectors_a", "anchor_b", "vectors_b", "t")
 
     def __init__(self, lanes, anchor_a, vectors_a, anchor_b, vectors_b, t):
-        self.lanes = lanes  # their positions in (step, pair) order
+        self.lanes = lanes  # their positions in (step, slot) order
         self.anchor_a = anchor_a  # (n, 3)
         self.vectors_a = vectors_a  # (n, La, 3)
         self.anchor_b = anchor_b  # (n, 3)
@@ -360,31 +362,39 @@ class _LaneGroup:
 
 
 class _Lanes:
-    """The (step, pair) lanes of one state array: its placement, its broad-phase
-    rows, and every kept pair at every step packed by (La, Lb) shape.
+    """The kept lanes of one state array: its placement, each lane's (step, slot), and the lanes by (La, Lb) shape.
 
-    keys[k] = (step, (a, b)) names lane k in (step, pair) order; it is also
-    the lane's key in the warm-start map. (Plain classes, not dataclasses, so
-    that importing the package does not pay for generating their methods.)
+    Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
+    of np.nonzero over the broad phase's kept mask. (Plain classes, not
+    dataclasses, so that importing the package does not pay for generating
+    their methods.)
     """
 
-    __slots__ = ("placement", "active", "keys", "margin_sum", "groups")
+    __slots__ = ("placement", "step", "slot", "margin_sum", "groups")
 
-    def __init__(self, placement: Placement, active, keys, margin_sum: np.ndarray, groups: list[_LaneGroup]):
+    def __init__(self, placement: Placement, step, slot, margin_sum: np.ndarray, groups: list[_LaneGroup]):
         self.placement = placement
-        self.active = active  # broad_phase_rows' kept pairs per step
-        self.keys = keys
+        self.step = step  # (n,)
+        self.slot = slot  # (n,) index into scene.candidate_pairs()
         self.margin_sum = margin_sum  # (n,)
         self.groups = groups
 
+    def keep_starts(self, warm: np.ndarray):
+        """Write every group's t into the warm-start store, where the next evaluation of these lanes starts."""
+        for group in self.groups:
+            warm[self.step[group.lanes], self.slot[group.lanes], : group.t.shape[1]] = group.t
 
-def _pack_lanes(scene: Scene, placement: Placement, active, warm: dict) -> _Lanes:
-    """Read every lane straight from the placement arrays, starting from `warm` where it has the lane."""
-    slots, group_of, shapes = scene._lane_index
+
+def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
+    """The warm-start store, all cold (t = 0.5): [i, c, :La + Lb] starts candidate pair c at step i; La + Lb <= 6."""
+    return np.full((num_steps, len(scene.candidate_pairs()), 6), 0.5)
+
+
+def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> _Lanes:
+    """Read every kept lane straight from the placement arrays, starting from its entry in `warm`."""
+    group_of, shapes = scene._lane_index
     margins, first, second = scene._bounds_index
-    keys = [(i, pair) for i, row in enumerate(active) for pair in row]
-    step = np.array([i for i, _ in keys], dtype=np.intp)
-    slot = np.array([slots[pair] for _, pair in keys], dtype=np.intp)
+    step, slot = np.nonzero(kept)
     a, b = first[slot], second[slot]
     gid = group_of[slot]
     groups = []
@@ -392,11 +402,6 @@ def _pack_lanes(scene: Scene, placement: Placement, active, warm: dict) -> _Lane
         lanes = np.flatnonzero(gid == g)
         if not len(lanes):
             continue
-        t = np.full((len(lanes), la + lb), 0.5)
-        for row, k in enumerate(lanes.tolist()):
-            start = warm.get(keys[k])
-            if start is not None:
-                t[row] = start
         i, ga, gb = step[lanes], a[lanes], b[lanes]
         groups.append(
             _LaneGroup(
@@ -405,13 +410,13 @@ def _pack_lanes(scene: Scene, placement: Placement, active, warm: dict) -> _Lane
                 placement.vectors[i, ga, :la],
                 placement.anchors[i, gb],
                 placement.vectors[i, gb, :lb],
-                t,
+                warm[i, slot[lanes], : la + lb],
             )
         )
-    return _Lanes(placement, active, keys, margins[a] + margins[b], groups)
+    return _Lanes(placement, step, slot, margins[a] + margins[b], groups)
 
 
-def _lanes_at(scene: Scene, states, slack: float, warm: dict) -> _Lanes:
+def _lanes_at(scene: Scene, states, slack: float, warm: np.ndarray) -> _Lanes:
     """Place `states`, run the broad phase and pack the kept lanes."""
     placement = place_states(scene, states)
     return _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
@@ -508,7 +513,8 @@ def _add_wrench(scene: Scene, placement: Placement, x_row, i: int, p: int, force
 
 def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list[tuple[int, int]]:
     """Pairs whose bounding spheres are within `slack` of touching at a 1-based step."""
-    return broad_phase_rows(scene, place_states(scene, traj.states[step - 1 : step]), slack)[0]
+    kept = broad_phase_rows(scene, place_states(scene, traj.states[step - 1 : step]), slack)[0]
+    return [scene.candidate_pairs()[c] for c in np.flatnonzero(kept).tolist()]
 
 
 class _Accumulator:
@@ -662,20 +668,20 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
 def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
     """Soft collision penalty over every lane, solved in one solve_lanes call per (La, Lb) group.
 
-    Returns (value, new_warm, min_clearance, max_violation), summed in (step,
-    pair) order. The warm-start map is not mutated; the caller merges new_warm
-    once the step is accepted. Each group's t becomes its t*, so a later
-    evaluation of the same lanes starts warm from it.
+    Returns (value, min_clearance, max_violation), summed in (step, slot)
+    order. Each group's t becomes its t*; the caller keeps them as warm starts
+    (_Lanes.keep_starts) once the states are accepted, and a later evaluation
+    of the same lanes starts warm from them.
     """
     w_ca = scene.objectives.w_collision
     refs = scene.primitive_refs()
+    pairs = scene.candidate_pairs()
     placement = lanes.placement
-    n = len(lanes.keys)
+    n = len(lanes.step)
     d_sq = np.empty(n)
     ok = np.empty(n, dtype=bool)
     home = np.empty((n, 2), dtype=np.intp)  # lane -> (group, row)
     solved = []
-    new_warm = {}
     for g, group in enumerate(lanes.groups):
         res = solve_lanes(group.anchor_a, group.vectors_a, group.anchor_b, group.vectors_b, group.t, scene.inner)
         group.t = res.t_star
@@ -684,10 +690,10 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
         ok[group.lanes] = res.converged & np.isfinite(res.d_sq)
         home[group.lanes, 0] = g
         home[group.lanes, 1] = np.arange(len(group.lanes))
-        new_warm.update(zip([lanes.keys[k] for k in group.lanes.tolist()], res.t_star))
     if not ok.all():
-        i, (a, b) = lanes.keys[int(np.argmin(ok))]
-        raise SolveError(f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {i + 1}")
+        k = int(np.argmin(ok))
+        a, b = pairs[lanes.slot[k]]
+        raise SolveError(f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {lanes.step[k] + 1}")
 
     clearance = np.sqrt(d_sq) - lanes.margin_sum
     min_clearance = float(clearance.min()) if n else math.inf
@@ -699,7 +705,8 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
         e = float(d_sq[k]) - float(m2[k])
         value += w_ca * e * e
         if acc.need_derivs:
-            i, (a, b) = lanes.keys[k]
+            i = int(lanes.step[k])
+            a, b = pairs[lanes.slot[k]]
             g, row = home[k].tolist()
             res = solved[g]
             grad = _lane_gradient(
@@ -712,7 +719,7 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
             # and only degrades the Newton direction; keep the PSD part.
             block = (2.0 * w_ca) * np.outer(grad, grad)
             acc.add_block(i, block)
-    return value, new_warm, min_clearance, max_violation
+    return value, min_clearance, max_violation
 
 
 def _dense_hessian(acc: _Accumulator) -> np.ndarray:
@@ -744,40 +751,35 @@ def limit_penalty(traj: Trajectory, scene: Scene):
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
-def collision_penalty(
-    traj: Trajectory,
-    scene: Scene,
-    active: list[list[tuple[int, int]]],
-    warm: Optional[dict] = None,
-):
+def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[int, int]]]):
+    """The collision term over the candidate pairs listed in active[i] at each step i, all started cold."""
+    unknown = {pair for row in active for pair in row} - set(scene.candidate_pairs())
+    if unknown:
+        raise ValueError(f"not candidate pairs of the scene: {sorted(unknown)}")
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    lanes = _pack_lanes(scene, place_states(scene, traj.states), active, warm or {})
-    value, _, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
+    kept = np.array([[pair in row for pair in scene.candidate_pairs()] for row in active], dtype=bool)
+    lanes = _pack_lanes(scene, place_states(scene, traj.states), kept, _cold_starts(scene, traj.num_steps))
+    value, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
-def _evaluate(scene: Scene, states, warm, need_derivs: bool, slack: float, *, lanes: Optional[_Lanes] = None):
-    """Objective over the stacked trajectory.
+def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool):
+    """Objective over the stacked trajectory; returns (value, acc, min_clearance, max_violation).
 
-    The broad phase is recomputed for every new state array so the value is
-    exact regardless of how the states moved: culled pairs have bounding
-    separation > slack >= 0, hence positive clearance and zero penalty.
-    Freezing the pair set across a line search would make candidate values
-    incomparable and can cycle. `lanes` are those of an earlier evaluation at
-    these same states (the accepted line-search trial's): their placement and
-    rows are reused and the lanes are re-solved warm from their t*, exactly as
-    a fresh evaluation starting from `warm` would solve them.
+    `lanes` are those of `states` (_lanes_at), whose broad phase makes the
+    value exact: culled pairs have bounding separation > slack >= 0, hence
+    positive clearance and zero penalty. (A pair set frozen across a line
+    search would make trial values incomparable and can cycle.) Lanes solved
+    before, the accepted trial's, are re-solved warm from their t*.
     """
-    if lanes is None:
-        lanes = _lanes_at(scene, states, slack, warm)
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
     value += _goal_terms(scene, states, lanes.placement, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
-    col_value, new_warm, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
+    col_value, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
     value += col_value
-    return value, acc, new_warm, min_clear, max(max_viol, lim_worst), lanes.active
+    return value, acc, min_clear, max(max_viol, lim_worst)
 
 
 def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
@@ -860,26 +862,22 @@ def solve(
     if states.shape != (scene.num_steps, scene.dim_total):
         raise ValueError("initial trajectory dimensions do not match the scene")
 
-    n_flat = states.size
     lam = s.damping_init
-    warm: dict = {}
+    # each lane's t* at its last accepted states, where it starts next
+    warm = _cold_starts(scene, len(states))
     history: list[IterationStats] = []
     reason = "max_iters"
     converged = False
-    value = math.nan
-    min_clear = math.inf
     # The lanes of `states`, handed from the accepted trial to the next
     # evaluation at the same states, so each accepted state is placed once.
-    lanes = None
+    lanes = _lanes_at(scene, states, s.broad_phase_slack, warm)
 
     for _ in range(s.max_outer_iters):
-        value, acc, new_warm, min_clear, max_viol, active = _evaluate(
-            scene, states, warm, True, s.broad_phase_slack, lanes=lanes
-        )
-        warm.update(new_warm)
+        value, acc, min_clear, max_viol = _evaluate(scene, states, lanes, True)
+        lanes.keep_starts(warm)
         grad_flat = acc.grad.ravel()
-        grad_inf = float(np.abs(grad_flat).max()) if n_flat else 0.0
-        num_active = sum(len(p) for p in active)
+        grad_inf = float(np.abs(grad_flat).max()) if grad_flat.size else 0.0
+        num_active = len(lanes.step)
 
         if grad_inf <= s.grad_tol:
             history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
@@ -903,21 +901,19 @@ def solve(
             if slope < 0.0:
                 failure = "line_search_failure"
                 alpha = 1.0
-                for _ in range(s.ls_max_halvings):
+                for _ in range(LS_MAX_HALVINGS):
                     cand = states + alpha * direction.reshape(states.shape)
                     cand_lanes = _lanes_at(scene, cand, s.broad_phase_slack, warm)
-                    cand_value, _, cand_warm, _, _, _ = _evaluate(
-                        scene, cand, warm, False, s.broad_phase_slack, lanes=cand_lanes
-                    )
-                    if cand_value <= value + s.ls_sufficient_decrease * alpha * slope:
+                    cand_value = _evaluate(scene, cand, cand_lanes, False)[0]
+                    if cand_value <= value + LS_SUFFICIENT_DECREASE * alpha * slope:
                         states, lanes = cand, cand_lanes
-                        warm.update(cand_warm)
+                        lanes.keep_starts(warm)
                         accepted = True
                         break
-                    alpha *= s.ls_backtrack
+                    alpha *= LS_BACKTRACK
             if not accepted:
-                lam *= s.damping_factor
-                if lam > s.damping_max:
+                lam *= DAMPING_FACTOR
+                if lam > DAMPING_MAX:
                     history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
                     return Trajectory(states, scene.h), SolveReport(history, False, failure, value, min_clear)
 
@@ -926,39 +922,34 @@ def solve(
         # good; a step accepted after heavy backtracking means the quadratic
         # model is poor, so stiffen instead.
         if alpha >= 1.0:
-            lam = max(lam / s.damping_factor, s.damping_min)
+            lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
         elif alpha < 0.25:
-            lam = min(lam * s.damping_factor, s.damping_max)
+            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
         # Stall check on the accepted candidate value.
-        value_after = cand_value
-        if abs(value - value_after) <= s.ftol * max(1.0, abs(value_after)):
+        if abs(value - cand_value) <= s.ftol * max(1.0, abs(cand_value)):
             converged, reason = True, "ftol"
             break
 
-    final_value, _, _, final_clear, _, _ = _evaluate(scene, states, warm, False, s.broad_phase_slack, lanes=lanes)
+    final_value, _, final_clear, _ = _evaluate(scene, states, lanes, False)
     return Trajectory(states, scene.h), SolveReport(history, converged, reason, final_value, final_clear)
 
 
-def broad_phase_rows(scene: Scene, placement: Placement, slack: float) -> list[list[tuple[int, int]]]:
-    """broad_phase at every placed step: one list of kept candidate pairs per step.
+def broad_phase_rows(scene: Scene, placement: Placement, slack: float) -> np.ndarray:
+    """broad_phase at every placed step: the (N, C) mask of kept candidate pairs.
 
-    The bounding sphere of each placed primitive is that of
+    kept[i, c] is True where candidate pair c (scene.candidate_pairs()[c]) is
+    kept at step i. The bounding sphere of each placed primitive is that of
     primitives.bounding_center_radius; all steps and candidate pairs are
     tested in one array operation.
     """
     margins, first, second = scene._bounds_index
-    pairs = scene.candidate_pairs()
     vectors = placement.vectors
     centers = placement.anchors + 0.5 * vectors.sum(axis=2)
     radii = 0.5 * np.sqrt((vectors * vectors).sum(axis=3)).sum(axis=2) + margins
     gap = centers[:, first] - centers[:, second]
     reach = radii[:, first] + radii[:, second] + slack
     # A NaN distance or reach keeps the pair, so the inner solve reports it.
-    kept = ~(np.sqrt((gap * gap).sum(axis=2)) > reach)
-    rows = [[] for _ in range(len(kept))]
-    for i, c in zip(*(index.tolist() for index in np.nonzero(kept))):
-        rows[i].append(pairs[c])
-    return rows
+    return ~(np.sqrt((gap * gap).sum(axis=2)) > reach)
 
 
 @dataclass

@@ -67,6 +67,8 @@ def test_plan_input_errors(tmp_path, capsys):
         'robots=[{"name":["a"]}]',
         "settings.max_outer_iter=1",
         "settings.broad_phase_slack=-0.5",
+        "horizon.h=1e-300",
+        "horizon.h=1e-160",
     ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err

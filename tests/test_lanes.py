@@ -7,7 +7,10 @@ collision term solves all (step, pair) lanes of an evaluation with it; the
 reference below is the per-lane loop over `solve_inner` and `pair_derivatives`
 that the planner ran before, and `_evaluate` must match it through a solve,
 including the evaluations that reuse the lanes of an accepted line-search
-trial: bitwise in everything but the gradient and the Hessian band. Those
+trial: bitwise in everything but the gradient and the Hessian band. Its
+warm starts come from a tuple-keyed map updated where the planner keeps t*
+(after a derivative evaluation and after an accepted trial), which the
+planner's warm-start store must mirror entry for entry. The gradient and band
 come from the adjoint `_lane_gradient`, which is mathematically equal to the
 reference's `dt/dx` chain but rounds differently, so they must agree to
 1e-10 of their largest entry.
@@ -136,14 +139,19 @@ def test_solve_lanes_reports_non_finite_lanes_as_failed():
 # -- the planner's collision term against the per-lane scalar loop ------------
 
 
-def _reference_collision_penalty(scene, states, placement, active, warm, acc):
-    """The collision term as one solve_inner call per (step, pair), in (step, pair) order."""
+def _reference_collision_penalty(scene, states, placement, kept, warm, acc):
+    """The collision term as one solve_inner call per kept (step, pair), in (step, pair) order.
+
+    `warm` maps (step, (a, b)) to a lane's start; the returned new_warm maps
+    every solved lane to its t*.
+    """
     w_ca = scene.objectives.w_collision
     refs = scene.primitive_refs()
     value = 0.0
     new_warm = {}
     min_clearance = math.inf
     max_violation = 0.0
+    active = [[scene.candidate_pairs()[c] for c in np.flatnonzero(row)] for row in kept]
     for i, pairs in enumerate(active):
         for key in pairs:
             a, b = key
@@ -175,15 +183,33 @@ def _reference_collision_penalty(scene, states, placement, active, warm, acc):
 
 def _reference_evaluate(scene, states, warm, need_derivs, slack):
     placement = place_states(scene, states)
-    active = broad_phase_rows(scene, placement, slack)
+    kept = broad_phase_rows(scene, placement, slack)
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
     value += _goal_terms(scene, states, placement, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
-    col = _reference_collision_penalty(scene, states, placement, active, warm, acc)
+    col = _reference_collision_penalty(scene, states, placement, kept, warm, acc)
     value += col[0]
-    return value, acc, col[1], col[2], max(col[3], lim_worst), active
+    return value, acc, col[1], col[2], max(col[3], lim_worst), kept
+
+
+def _lane_starts(scene, lanes):
+    """The t of every lane of `lanes` (after an evaluation, its t*), keyed (step, (a, b))."""
+    pairs = scene.candidate_pairs()
+    return {
+        (int(lanes.step[k]), pairs[lanes.slot[k]]): group.t[row]
+        for group in lanes.groups
+        for row, k in enumerate(group.lanes.tolist())
+    }
+
+
+def _store_of(scene, warm):
+    """The warm-start store that holds the starts of the tuple-keyed map `warm`, and 0.5 everywhere else."""
+    store = np.full((scene.num_steps, len(scene.candidate_pairs()), 6), 0.5)
+    for (i, pair), start in warm.items():
+        store[i, scene.candidate_pairs().index(pair), : len(start)] = start
+    return store
 
 
 def _assert_close(got, ref, rel=1e-10):
@@ -196,32 +222,59 @@ def _assert_close(got, ref, rel=1e-10):
 def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeypatch):
     # Every _evaluate call of a short solve, including those that reuse the
     # accepted trial's lanes, is checked against a fresh per-lane evaluation
-    # from a snapshot of the warm-start map it was given.
+    # from a tuple-keyed warm-start map. The map takes a derivative
+    # evaluation's t* after it, and a trial's t* only once the trial is
+    # accepted (its lanes are the next evaluation's); at every evaluation the
+    # solver's store must hold exactly the map's starts, and 0.5 elsewhere,
+    # so a rejected trial's t* never reaches it.
     scene = load_scene(scene_text(name))
     scene.outer.max_outer_iters = iters
-    original = trajopt._evaluate
-    seen = {"derivs": 0, "handed": 0}
+    slack = scene.outer.broad_phase_slack
+    original, original_cold = trajopt._evaluate, trajopt._cold_starts
+    stores = []
+    warm = {}
+    last_trial = [None, None]  # the latest value-only evaluation's lanes and t*
+    seen = {"derivs": 0, "handed": 0, "trials": 0, "accepted": 0}
 
-    def checked(scene, states, warm, need_derivs, slack, **kwargs):
-        snapshot = dict(warm)
-        got = original(scene, states, warm, need_derivs, slack, **kwargs)
-        ref = _reference_evaluate(scene, states, snapshot, need_derivs, slack)
+    def cold(scene, num_steps):
+        stores.append(original_cold(scene, num_steps))
+        return stores[-1]
+
+    def checked(scene, states, lanes, need_derivs):
+        handed = lanes is last_trial[0]
+        if handed:  # the trial was accepted
+            warm.update(last_trial[1])
+            seen["accepted"] += 1
+        assert len(stores) == 1 and np.array_equal(stores[0], _store_of(scene, warm))
+        ref = _reference_evaluate(scene, states, dict(warm), need_derivs, slack)
+        got = original(scene, states, lanes, need_derivs)
         assert got[0] == ref[0]
         if need_derivs:
             _assert_close(got[1].grad, ref[1].grad)
             _assert_close(got[1].band, ref[1].band)
             seen["derivs"] += 1
-            seen["handed"] += kwargs.get("lanes") is not None
-        assert got[2].keys() == ref[2].keys()
-        assert all(np.array_equal(got[2][key], ref[2][key]) for key in ref[2])
-        assert got[3:] == ref[3:]
+            seen["handed"] += handed
+        got_starts = _lane_starts(scene, lanes)
+        assert got_starts.keys() == ref[2].keys()
+        assert all(np.array_equal(got_starts[key], ref[2][key]) for key in ref[2])
+        assert got[2:] == ref[3:5]
+        step, slot = np.nonzero(ref[5])
+        assert np.array_equal(lanes.step, step) and np.array_equal(lanes.slot, slot)
+        if need_derivs:
+            warm.update(ref[2])
+        else:
+            last_trial[:] = lanes, ref[2]
+            seen["trials"] += 1
         return got
 
+    monkeypatch.setattr(trajopt, "_cold_starts", cold)
     monkeypatch.setattr(trajopt, "_evaluate", checked)
     _, report = solve(scene)
     assert report.num_iterations == iters or report.converged
     # every derivative evaluation after the first reuses the accepted trial's lanes
     assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"] - 1
+    # some trials were rejected (the final evaluation is value-only too, and no trial)
+    assert seen["trials"] - 1 - seen["accepted"] > 0
 
 
 def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
@@ -231,8 +284,9 @@ def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
     slack = scene.outer.broad_phase_slack
     with pytest.raises(SolveError) as ref:
         _reference_evaluate(scene, states, {}, False, slack)
+    lanes = trajopt._lanes_at(scene, states, slack, trajopt._cold_starts(scene, len(states)))
     with pytest.raises(SolveError) as got:
-        trajopt._evaluate(scene, states, {}, False, slack)
+        trajopt._evaluate(scene, states, lanes, False)
     assert str(got.value) == str(ref.value)
 
 
@@ -264,14 +318,16 @@ def test_collision_gradient_equals_the_pair_derivatives_reference():
         scene = SCENES[name](num_steps)
         states = _random_states(scene, seed, num_steps)
         active = [list(scene.candidate_pairs()) for _ in range(num_steps)]
+        kept = np.ones((num_steps, len(scene.candidate_pairs())), dtype=bool)
         kinds |= _hit_kinds(scene, states, active)
-        lanes = trajopt._pack_lanes(scene, place_states(scene, states), active, {})
+        cold = trajopt._cold_starts(scene, num_steps)
+        lanes = trajopt._pack_lanes(scene, place_states(scene, states), kept, cold)
         acc = _Accumulator(num_steps, states.shape[1], True)
         got = trajopt._collision_penalty(scene, states, lanes, acc)
         ref_acc = _Accumulator(num_steps, states.shape[1], True)
-        ref = _reference_collision_penalty(scene, states, place_states(scene, states), active, {}, ref_acc)
+        ref = _reference_collision_penalty(scene, states, place_states(scene, states), kept, {}, ref_acc)
         assert got[0] == ref[0] and got[0] > 0.0
-        assert got[2:] == ref[2:]
+        assert got[1:] == ref[2:]
         _assert_close(acc.grad, ref_acc.grad)
         _assert_close(acc.band, ref_acc.band)
     assert {kind for kind, _, _ in kinds} == {"self", "cross", "obstacle"}

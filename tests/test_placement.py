@@ -336,11 +336,11 @@ def test_batched_broad_phase_keeps_the_same_pairs(name):
     kept_any = culled_any = False
     for slack in (0.0, 0.1, 0.5):
         batched = broad_phase_rows(scene, place_states(scene, states), slack)
-        assert len(batched) == num_steps
+        assert batched.shape == (num_steps, len(scene.candidate_pairs()))
         for i, row in enumerate(states):
             world, _ = _reference_world(scene, row)
             expected = _reference_broad_phase(scene, world, slack)
-            assert batched[i] == expected
+            assert [scene.candidate_pairs()[c] for c in np.flatnonzero(batched[i])] == expected
             kept_any |= bool(expected)
             culled_any |= len(expected) < len(scene.candidate_pairs())
     assert kept_any and culled_any
@@ -427,10 +427,11 @@ def test_derivative_evaluation_allocates_no_dense_hessian():
     scene = load_scene(scene_text("arm7_box"))
     states = trajopt.default_trajectory(scene).states
     slack = scene.outer.broad_phase_slack
-    trajopt._evaluate(scene, states, {}, True, slack)  # builds the scene's lazy indices
+    warm = trajopt._cold_starts(scene, len(states))
+    trajopt._evaluate(scene, states, trajopt._lanes_at(scene, states, slack, warm), True)  # builds the lazy indices
     tracemalloc.start()
     try:
-        trajopt._evaluate(scene, states, {}, True, slack)
+        trajopt._evaluate(scene, states, trajopt._lanes_at(scene, states, slack, warm), True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

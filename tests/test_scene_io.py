@@ -261,6 +261,9 @@ def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
         ("arm7_box", ("robots", 0, "primitives", 1, "link"), 8, "robots[0].primitives[1].link: must be a link"),
         ("arm7_box", ("robots", 0, "joints", 4, "parent"), 5, "robots[0].joints[4].parent: must be an earlier link"),
         ("arm7_box", ("objectives", "ee_targets", 0, "link"), 8, "objectives.ee_targets[0].link: must be a link"),
+        # h² underflows to 0, or 2/h² overflows: the stencils would divide by zero or weigh by inf
+        ("arm7_box", ("horizon", "h"), 1e-300, "horizon.h: must be large enough that 2/h² is finite"),
+        ("arm7_box", ("horizon", "h"), 1e-160, "horizon.h: must be large enough that 2/h² is finite"),
     ],
 )
 def test_a_rejected_field_is_named_by_its_json_path(name, keys, value, message):

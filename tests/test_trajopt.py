@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_broad_phase_is_conservative():
             states.append(RobotState(Pose(rng.uniform(-1.2, 1.2, 3), rng.uniform(-np.pi, np.pi, 3))))
         scene = Scene(robots=prims, initial_states=states)
         kept = broad_phase_rows(scene, place_states(scene, scene.initial_row()[None]), slack)[0]
-        if not kept:
+        if not kept.any():
             world = [
                 place(r.primitives[0], s.base) for r, s in zip(prims, states)
             ]
@@ -232,8 +233,9 @@ def test_evaluate_places_each_step_once(monkeypatch):
 
     monkeypatch.setattr(trajopt, "link_frames", counted)
     states = default_trajectory(scene).states
-    _, _, _, _, _, active = _evaluate(scene, states, {}, True, scene.outer.broad_phase_slack)
-    assert any(active)  # the collision term has pairs to solve
+    lanes = trajopt._lanes_at(scene, states, scene.outer.broad_phase_slack, trajopt._cold_starts(scene, len(states)))
+    _evaluate(scene, states, lanes, True)
+    assert len(lanes.step)  # the collision term has pairs to solve
     assert len(calls) == len(scene.robots) == 1
     assert scene.primitive_refs() is scene.primitive_refs()
     assert scene.candidate_pairs() is scene.candidate_pairs()
@@ -244,6 +246,9 @@ def test_collision_penalty_separated_pairs():
     traj = Trajectory(scene.initial_row()[None, :], 0.1)
     value, grad, hess = collision_penalty(traj, scene, [[(0, 1)]])
     assert value == 0.0 and not grad.any() and not hess.any()
+    # a pair that is not a candidate pair of the scene is an error, not skipped
+    with pytest.raises(ValueError, match=re.escape("not candidate pairs of the scene: [(1, 0)]")):
+        collision_penalty(traj, scene, [[(1, 0)]])
 
 
 def test_collision_penalty_two_spheres():
@@ -446,20 +451,22 @@ def test_solve_respects_max_iters():
 
 
 def test_solve_stops_with_damping_overflow():
-    # the Newton systems are too ill conditioned for any damping up to damping_max
+    # the Newton systems are too ill conditioned for any damping up to DAMPING_MAX
     doc = json.loads(scene_text("two_sphere_swap"))
     doc["weights"] = {"smoothness": 1e150}
     _, report = solve(scene_from_dict(doc))
     assert not report.converged
     assert report.reason == "damping_overflow"
     assert report.num_iterations == 1
-    assert report.iterations[0].damping > OuterSettings().damping_max
+    assert report.iterations[0].damping > trajopt.DAMPING_MAX
 
 
-def test_solve_stops_with_line_search_failure():
-    # no trial step at all, and the first raise of the damping passes damping_max
+def test_solve_stops_with_line_search_failure(monkeypatch):
+    # no trial step at all, and the first raise of the damping passes DAMPING_MAX
+    monkeypatch.setattr(trajopt, "LS_MAX_HALVINGS", 0)
+    monkeypatch.setattr(trajopt, "DAMPING_MAX", 1e-8)
     scene = load_scene(scene_text("two_sphere_swap"))
-    traj, report = solve(scene, settings=OuterSettings(ls_max_halvings=0, damping_max=1e-8))
+    traj, report = solve(scene)
     assert not report.converged
     assert report.reason == "line_search_failure"
     assert report.num_iterations == 1
@@ -483,8 +490,9 @@ def test_nan_pair_is_a_collision_not_a_clear_plan():
     assert report.min_clearance_per_step == [-0.5] * scene.num_steps
     assert report.worst_clearance == -0.5
     # the broad phase keeps the pair instead of culling it on a NaN comparison
-    rows = broad_phase_rows(scene, place_states(scene, traj.states), scene.outer.broad_phase_slack)
-    assert all(row == [(0, 1)] for row in rows)
+    kept = broad_phase_rows(scene, place_states(scene, traj.states), scene.outer.broad_phase_slack)
+    assert scene.candidate_pairs() == ((0, 1),)
+    assert kept.shape == (scene.num_steps, 1) and kept.all()
     with pytest.raises(trajopt.SolveError, match="a_sphere:b_sphere at step 1"):
         solve(scene)
 
