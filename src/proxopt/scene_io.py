@@ -20,7 +20,7 @@ from .distance import InnerSettings
 from .kinematics import Joint, LimitSpec, RobotModel, RobotState
 from .poses import Pose
 from .primitives import WORLD, Kind, Primitive, place
-from .trajopt import EETarget, Objectives, Obstacle, OuterSettings, Scene, StateTarget, Trajectory
+from .trajopt import EETarget, Objectives, Obstacle, OuterSettings, Scene, StateTarget, Trajectory, _time_step_ok
 
 
 class SceneError(ValueError):
@@ -226,8 +226,9 @@ def _setting(cls, name: str, kind: str = _NUMBER) -> _Field:
 
 def _time_step(h: float) -> None:
     # The acceleration stencil weighs x_{i-1} by -2/h²; an infinite weight makes the objective NaN.
-    if not (h**2 > 0.0 and math.isfinite(2.0 / h**2)):
-        raise ValueError(f"must be large enough that 2/h² is finite, got {h!r}")
+    # Scene checks the same, but this check runs first, so the error names horizon.h.
+    if not _time_step_ok(h):
+        raise ValueError(f"must be large enough that 2/h² is finite and small enough that h² is, got {h!r}")
 
 
 _ZERO = (0.0, 0.0, 0.0)

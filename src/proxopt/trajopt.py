@@ -138,6 +138,16 @@ class PrimitiveRef:
     num_params: int  # L, the primitive's vector count
 
 
+def _time_step_ok(h: float) -> bool:
+    """Whether the stencils can use time step h: h > 0, with h² and the weight 2/h² finite.
+
+    h² is taken as h * h, which rounds as h**2 does but gives inf where h**2
+    raises OverflowError; an h² that underflows to 0 fails too.
+    """
+    h2 = h * h
+    return h > 0.0 and 0.0 < h2 < math.inf and math.isfinite(2.0 / h2)
+
+
 @dataclass
 class Trajectory:
     states: np.ndarray  # (N, dim_total)
@@ -145,8 +155,10 @@ class Trajectory:
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if self.h <= 0 or len(self.states) < 1:
-            raise ValueError("trajectory requires N >= 1 and h > 0")
+        if len(self.states) < 1:
+            raise ValueError("trajectory requires N >= 1")
+        if not _time_step_ok(self.h):
+            raise ValueError(f"time step h must be positive with h² and 2/h² finite, got {self.h!r}")
 
     @property
     def num_steps(self) -> int:
@@ -167,6 +179,8 @@ class Scene:
     def __post_init__(self):
         if len(self.robots) != len(self.initial_states):
             raise ValueError("one initial state per robot required")
+        if not _time_step_ok(self.h):
+            raise ValueError(f"time step h must be positive with h² and 2/h² finite, got {self.h!r}")
         for tgt in self.objectives.state_targets:
             if not (1 <= tgt.step <= self.num_steps):
                 raise ValueError(f"state target step {tgt.step} outside 1..{self.num_steps}")
@@ -763,7 +777,19 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
-def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool):
+def _cheap_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -> tuple[float, float]:
+    """Smoothness + goal + limit, added in that order: (partial value, worst raw limit violation).
+
+    Every term is a non-negative penalty, and adding a non-negative number
+    never lowers a float sum, so the objective is at least this partial sum.
+    """
+    value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
+    value += _goal_terms(scene, states, placement, acc)
+    lim_value, lim_worst = _limit_penalty(scene, states, acc)
+    return value + lim_value, lim_worst
+
+
+def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Optional[tuple[float, float]] = None):
     """Objective over the stacked trajectory; returns (value, acc, min_clearance, max_violation).
 
     `lanes` are those of `states` (_lanes_at), whose broad phase makes the
@@ -771,15 +797,32 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool):
     positive clearance and zero penalty. (A pair set frozen across a line
     search would make trial values incomparable and can cycle.) Lanes solved
     before, the accepted trial's, are re-solved warm from their t*.
+    `cheap` is _cheap_terms' result at `states` when a value-only caller has
+    it already; the collision term is then added to it.
     """
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
-    value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, lanes.placement, acc)
-    lim_value, lim_worst = _limit_penalty(scene, states, acc)
-    value += lim_value
+    value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, lanes.placement, acc)
     col_value, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
     value += col_value
     return value, acc, min_clear, max(max_viol, lim_worst)
+
+
+def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: np.ndarray):
+    """The value of a line-search trial at `states`, or None for its lanes if its cheap terms exceed `bound`.
+
+    Returns (value, lanes). The trial is placed once. If smoothness + goal +
+    limit is already above the Armijo `bound`, the full value is too, so the
+    trial is rejected with its partial sum and lanes None: no broad phase, no
+    lanes packed or solved. (A NaN partial sum is not above the bound and
+    goes on to the lanes.) Otherwise the lanes come from the same placement
+    and _evaluate adds the collision term to the partial sum.
+    """
+    placement = place_states(scene, states)
+    cheap = _cheap_terms(scene, states, placement, _Accumulator(len(states), states.shape[1], False))
+    if cheap[0] > bound:
+        return cheap[0], None
+    lanes = _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
+    return _evaluate(scene, states, lanes, False, cheap)[0], lanes
 
 
 def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
@@ -798,6 +841,8 @@ class IterationStats:
     min_clearance: float
     max_violation: float
     active_pairs: int
+    trials: int  # line-search trials placed, over all damping retries
+    cheap_rejects: int  # of those, rejected on smoothness + goal + limit alone
 
 
 @dataclass
@@ -854,7 +899,11 @@ def solve(
 
     Every evaluation recomputes the broad-phase pair set, so the objective is
     exact and accepted steps never increase it. Damping follows a trust-region
-    policy driven by the accepted step length.
+    policy driven by the accepted step length. A line-search trial whose
+    smoothness + goal + limit terms alone exceed the Armijo bound is rejected
+    before its broad phase and lane solves (_line_search_trial): the collision
+    term is non-negative, so it could not pass, and a rejected trial's t* is
+    never kept. Such a trial cannot raise SolveError.
     """
     s = settings or scene.outer
     traj = initial if initial is not None else default_trajectory(scene)
@@ -880,13 +929,14 @@ def solve(
         num_active = len(lanes.step)
 
         if grad_inf <= s.grad_tol:
-            history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
+            history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, 0, 0))
             converged, reason = True, "grad_tol"
             break
 
         # scipy rejects a non-finite system, and no damping makes it finite
         finite = bool(np.isfinite(grad_flat).all() and np.isfinite(acc.band).all())
         accepted = False
+        trials = cheap_rejects = 0
         while not accepted:
             # A failed factorization, a non-finite system or a non-descent
             # direction raises the damping; so does a failed line search.
@@ -903,9 +953,11 @@ def solve(
                 alpha = 1.0
                 for _ in range(LS_MAX_HALVINGS):
                     cand = states + alpha * direction.reshape(states.shape)
-                    cand_lanes = _lanes_at(scene, cand, s.broad_phase_slack, warm)
-                    cand_value = _evaluate(scene, cand, cand_lanes, False)[0]
-                    if cand_value <= value + LS_SUFFICIENT_DECREASE * alpha * slope:
+                    bound = value + LS_SUFFICIENT_DECREASE * alpha * slope
+                    cand_value, cand_lanes = _line_search_trial(scene, cand, bound, s.broad_phase_slack, warm)
+                    trials += 1
+                    cheap_rejects += cand_lanes is None  # then cand_value > bound
+                    if cand_value <= bound:
                         states, lanes = cand, cand_lanes
                         lanes.keep_starts(warm)
                         accepted = True
@@ -914,10 +966,14 @@ def solve(
             if not accepted:
                 lam *= DAMPING_FACTOR
                 if lam > DAMPING_MAX:
-                    history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active))
+                    history.append(
+                        IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, trials, cheap_rejects)
+                    )
                     return Trajectory(states, scene.h), SolveReport(history, False, failure, value, min_clear)
 
-        history.append(IterationStats(value, grad_inf, lam, alpha, min_clear, max_viol, num_active))
+        history.append(
+            IterationStats(value, grad_inf, lam, alpha, min_clear, max_viol, num_active, trials, cheap_rejects)
+        )
         # Trust-region style damping update: only relax when the full step was
         # good; a step accepted after heavy backtracking means the quadratic
         # model is poor, so stiffen instead.

@@ -107,7 +107,8 @@ def test_plan_report_exports_iteration_stats_as_strict_json(tmp_path):
     assert report["num_iterations"] == solved.num_iterations == len(report["iterations"])
     for row, stats in zip(report["iterations"], solved.iterations):
         assert set(row) == {
-            "objective", "grad_inf", "damping", "alpha", "min_clearance", "max_violation", "active_pairs"
+            "objective", "grad_inf", "damping", "alpha", "min_clearance", "max_violation", "active_pairs",
+            "trials", "cheap_rejects",
         }
         for name, value in row.items():
             expected = getattr(stats, name)

@@ -13,7 +13,9 @@ warm starts come from a tuple-keyed map updated where the planner keeps t*
 planner's warm-start store must mirror entry for entry. The gradient and band
 come from the adjoint `_lane_gradient`, which is mathematically equal to the
 reference's `dt/dx` chain but rounds differently, so they must agree to
-1e-10 of their largest entry.
+1e-10 of their largest entry. A line-search trial whose cheap terms already
+fail the Armijo bound skips `_evaluate`; its full reference value must fail
+the bound too.
 """
 
 import dataclasses
@@ -226,28 +228,39 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     # evaluation's t* after it, and a trial's t* only once the trial is
     # accepted (its lanes are the next evaluation's); at every evaluation the
     # solver's store must hold exactly the map's starts, and 0.5 elsewhere,
-    # so a rejected trial's t* never reaches it.
+    # so a rejected trial's t* never reaches it. A trial rejected on its cheap
+    # terms never reaches _evaluate; its full reference value must fail the
+    # same Armijo bound.
     scene = load_scene(scene_text(name))
     scene.outer.max_outer_iters = iters
     slack = scene.outer.broad_phase_slack
     original, original_cold = trajopt._evaluate, trajopt._cold_starts
+    original_trial = trajopt._line_search_trial
     stores = []
     warm = {}
     last_trial = [None, None]  # the latest value-only evaluation's lanes and t*
-    seen = {"derivs": 0, "handed": 0, "trials": 0, "accepted": 0}
+    seen = {"derivs": 0, "handed": 0, "trials": 0, "accepted": 0, "cheap_rejects": 0}
 
     def cold(scene, num_steps):
         stores.append(original_cold(scene, num_steps))
         return stores[-1]
 
-    def checked(scene, states, lanes, need_derivs):
+    def trial(scene, states, bound, slack, warm_store):
+        value, lanes = original_trial(scene, states, bound, slack, warm_store)
+        if lanes is None:
+            assert value > bound
+            assert not _reference_evaluate(scene, states, dict(warm), False, slack)[0] <= bound
+            seen["cheap_rejects"] += 1
+        return value, lanes
+
+    def checked(scene, states, lanes, need_derivs, cheap=None):
         handed = lanes is last_trial[0]
         if handed:  # the trial was accepted
             warm.update(last_trial[1])
             seen["accepted"] += 1
         assert len(stores) == 1 and np.array_equal(stores[0], _store_of(scene, warm))
         ref = _reference_evaluate(scene, states, dict(warm), need_derivs, slack)
-        got = original(scene, states, lanes, need_derivs)
+        got = original(scene, states, lanes, need_derivs, cheap)
         assert got[0] == ref[0]
         if need_derivs:
             _assert_close(got[1].grad, ref[1].grad)
@@ -269,12 +282,15 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
 
     monkeypatch.setattr(trajopt, "_cold_starts", cold)
     monkeypatch.setattr(trajopt, "_evaluate", checked)
+    monkeypatch.setattr(trajopt, "_line_search_trial", trial)
     _, report = solve(scene)
     assert report.num_iterations == iters or report.converged
     # every derivative evaluation after the first reuses the accepted trial's lanes
     assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"] - 1
-    # some trials were rejected (the final evaluation is value-only too, and no trial)
-    assert seen["trials"] - 1 - seen["accepted"] > 0
+    # some trials were rejected, on their cheap terms or after their lanes
+    # (the final evaluation is value-only too, and no trial)
+    assert seen["trials"] - 1 - seen["accepted"] + seen["cheap_rejects"] > 0
+    assert seen["cheap_rejects"] == sum(stats.cheap_rejects for stats in report.iterations)
 
 
 def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():

@@ -264,6 +264,8 @@ def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
         # h² underflows to 0, or 2/h² overflows: the stencils would divide by zero or weigh by inf
         ("arm7_box", ("horizon", "h"), 1e-300, "horizon.h: must be large enough that 2/h² is finite"),
         ("arm7_box", ("horizon", "h"), 1e-160, "horizon.h: must be large enough that 2/h² is finite"),
+        # h² overflows, where h**2 raises OverflowError
+        ("arm7_box", ("horizon", "h"), 1e200, "horizon.h: must be large enough that 2/h² is finite and small enough"),
     ],
 )
 def test_a_rejected_field_is_named_by_its_json_path(name, keys, value, message):

@@ -66,6 +66,19 @@ def test_scene_validation():
         )
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-160, 1e200, math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_scene_and_trajectory_reject_a_time_step_the_stencils_cannot_use(h):
+    # h² underflows to 0 (a ZeroDivisionError in the smoothness term), 2/h²
+    # overflows (an infinite stencil weight), h² overflows (h**2 raises), or h
+    # is not a positive number (a NaN objective): the scene is refused up front
+    scene = load_scene(scene_text("two_sphere_swap"))
+    with pytest.raises(ValueError, match="^time step h must be positive"):
+        dataclasses.replace(scene, h=h)
+    with pytest.raises(ValueError, match="^time step h must be positive"):
+        Trajectory(default_trajectory(scene).states, h)
+    assert Trajectory(default_trajectory(scene).states, 1e-150).h == 1e-150
+
+
 def test_outer_settings_reject_zero_damping_and_negative_slack():
     # from a zero damping the damping never grows, so the outer loop would not end;
     # a negative slack would cull penetrating pairs from the collision term
@@ -239,6 +252,34 @@ def test_evaluate_places_each_step_once(monkeypatch):
     assert len(calls) == len(scene.robots) == 1
     assert scene.primitive_refs() is scene.primitive_refs()
     assert scene.candidate_pairs() is scene.candidate_pairs()
+
+
+@pytest.mark.parametrize("name,rejects", [("arm7_box", True), ("two_box_swap", False), ("two_sphere_swap", False)])
+def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, rejects, monkeypatch):
+    # Over a whole solve, link_frames runs once per robot per placed state (the
+    # start and every line-search trial), and the broad phase once at the start
+    # and once per trial that passed its cheap test. The cheap terms run once
+    # per trial, kept or not, once per derivative evaluation and once in the
+    # final evaluation. On arm7_box, smoothness + goal + limit alone reject
+    # some trials; on the swap scenes the collision term decides every trial.
+    scene = load_scene(scene_text(name))
+    calls = {"link_frames": 0, "broad_phase_rows": 0, "_limit_penalty": 0}
+    for attr in calls:
+        original = getattr(trajopt, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(trajopt, attr, counted)
+    _, report = solve(scene)
+    trials = sum(stats.trials for stats in report.iterations)
+    cheap_rejects = sum(stats.cheap_rejects for stats in report.iterations)
+    assert calls["link_frames"] == len(scene.robots) * (1 + trials)
+    assert calls["broad_phase_rows"] == 1 + trials - cheap_rejects
+    assert calls["_limit_penalty"] == trials + report.num_iterations + 1
+    assert (cheap_rejects > 0) == rejects
+    assert all(0 <= stats.cheap_rejects <= stats.trials for stats in report.iterations)
 
 
 def test_collision_penalty_separated_pairs():
@@ -471,6 +512,40 @@ def test_solve_stops_with_line_search_failure(monkeypatch):
     assert report.reason == "line_search_failure"
     assert report.num_iterations == 1
     assert np.array_equal(traj.states, default_trajectory(scene).states)
+
+
+def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch):
+    # Every value-only lane solve fails. arm7_box's first trials are rejected
+    # on smoothness + goal + limit alone, so they place their states and raise
+    # nothing; solve raises SolveError at the first trial that passes its
+    # cheap test, the only one whose lanes are solved.
+    scene = load_scene(scene_text("arm7_box"))
+    events = []
+    evaluate, solve_lanes, place_states_ = trajopt._evaluate, trajopt.solve_lanes, trajopt.place_states
+
+    def traced_evaluate(scene, states, lanes, need_derivs, *rest):
+        events.append("derivs" if need_derivs else "trial")
+        return evaluate(scene, states, lanes, need_derivs, *rest)
+
+    def failing_lanes(*args):
+        res = solve_lanes(*args)
+        if events[-1] == "trial":
+            res.converged[:] = False
+        return res
+
+    def traced_place(*args):
+        events.append("place")
+        return place_states_(*args)
+
+    monkeypatch.setattr(trajopt, "_evaluate", traced_evaluate)
+    monkeypatch.setattr(trajopt, "solve_lanes", failing_lanes)
+    monkeypatch.setattr(trajopt, "place_states", traced_place)
+    with pytest.raises(trajopt.SolveError, match="^inner solve failed"):
+        solve(scene)
+    # the start, its derivative evaluation, then trials placed until one passes
+    assert events[:2] == ["place", "derivs"] and events[-1] == "trial"
+    placed = events[2:-1]
+    assert placed == ["place"] * len(placed) and len(placed) >= 2  # >= 1 cheap rejection
 
 
 def _nan_sphere_swap():
