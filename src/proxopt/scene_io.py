@@ -7,6 +7,7 @@ lists it, with an example.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -212,6 +213,13 @@ def _scene(v: dict, path: tuple) -> Scene:
                                                             "broad_phase_slack", "damping_init")})
     scene = _make(path, Scene, robots=robots, initial_states=states, obstacles=v["obstacles"], objectives=objectives,
                   num_steps=steps, h=v["horizon"]["h"], inner=inner, outer=outer)
+    # A pair is named by its primitives' names, given or generated.
+    names = set()
+    for ref in scene.primitive_refs():
+        if ref.name in names:
+            where = ("obstacles", ref.index) if ref.owner is None else ("robots", ref.owner, "primitives", ref.index)
+            _fail(where + ("name",), f"duplicate primitive name {ref.name!r}")
+        names.add(ref.name)
     # Pin the first state to the provided initial configuration unless disabled.
     if settings["pin_initial"]:
         for r, state in enumerate(states):
@@ -426,7 +434,8 @@ def export_trajectory(traj: Trajectory, scene: Scene, format: str = "csv", clear
     """Serialize a trajectory; one record per (step, robot).
 
     CSV columns: step, time, robot, then coordinate values at full float
-    precision (shorter robots leave trailing columns empty). The structured
+    precision (shorter robots leave trailing columns empty); a robot name
+    with a comma, a quote or a line break is quoted. The structured
     format is JSON and can embed a per-step clearance report.
     """
     if traj.states.shape != (scene.num_steps, scene.dim_total):
@@ -434,14 +443,15 @@ def export_trajectory(traj: Trajectory, scene: Scene, format: str = "csv", clear
     if format == "csv":
         names = _coordinate_names(scene)
         out = io.StringIO()
-        out.write("step,time,robot," + ",".join(names) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["step", "time", "robot", *names])
         for i in range(traj.num_steps):
             t = (i) * traj.h
             for r, robot in enumerate(scene.robots):
                 off = scene.robot_offsets[r]
                 row = traj.states[i, off : off + robot.dim]
                 cells = [format_float(v) for v in row] + [""] * (len(names) - robot.dim)
-                out.write(f"{i + 1},{format_float(t)},{robot.name}," + ",".join(cells) + "\n")
+                writer.writerow([i + 1, format_float(t), robot.name, *cells])
         return out.getvalue()
     if format in ("structured", "json"):
         doc = {
@@ -472,11 +482,10 @@ def format_float(v: float) -> str:
 
 def parse_trajectory_csv(text: str, scene: Scene) -> Trajectory:
     """Inverse of the CSV export (exact decimal round trip)."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    records = [cells for cells in csv.reader(io.StringIO(text, newline="")) if "".join(cells).strip()]
     by_name = {r.name: k for k, r in enumerate(scene.robots)}
     rows: dict[int, np.ndarray] = {}
-    for line in lines[1:]:
-        cells = line.split(",")
+    for cells in records[1:]:
         step = int(cells[0])
         r = by_name[cells[2]]
         robot = scene.robots[r]

@@ -11,9 +11,13 @@ Every primitive is an anchor plus 0-3 vectors, so `place_states` places all
 primitives at all N steps into fixed-shape arrays in one pass, and the broad
 phase tests all steps and candidate pairs in one array operation. Every kept
 (step, pair) is then one lane of the same small minimization, and the lanes
-of one (La, Lb) shape are solved together by `distance.solve_lanes`. A lane
-whose penalty is active gets its gradient from one small adjoint solve,
-taken back through its robot's chain as a wrench (`_lane_gradient`).
+of one (La, Lb) shape are solved together by `distance.solve_lanes` when the
+lanes are built (`_pack_lanes`). Each state the solver places is evaluated,
+and its lanes solved, once: the line-search trial that placed it (the start
+counts as one) hands its solved lanes to the derivative evaluation and the
+report. A lane whose penalty is active gets its gradient from one small
+adjoint solve, taken back through its robot's chain as a wrench
+(`_lane_gradient`).
 """
 
 from __future__ import annotations
@@ -118,8 +122,15 @@ class OuterSettings:
     broad_phase_slack: float = 0.1
 
     def __post_init__(self):
-        # From a zero damping, `lam *= DAMPING_FACTOR` never reaches DAMPING_MAX;
-        # a negative slack culls penetrating pairs, which _evaluate reads as clear.
+        # A solve of no iterations plans nothing, and a negative tolerance
+        # never stops one. From a zero damping, `lam *= DAMPING_FACTOR` never
+        # reaches DAMPING_MAX; a negative slack culls penetrating pairs, which
+        # _evaluate reads as clear.
+        if not self.max_outer_iters >= 1:
+            raise ValueError(f"max_outer_iters must be at least 1, got {self.max_outer_iters}")
+        for name in ("grad_tol", "ftol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.damping_init > 0:
             raise ValueError(f"damping_init must be positive, got {self.damping_init}")
         if not self.broad_phase_slack >= 0:
@@ -361,42 +372,38 @@ def place_states(scene: Scene, states: np.ndarray) -> Placement:
     return Placement(scene, anchors, vectors, frames)
 
 
-class _LaneGroup:
-    """The lanes of one (La, Lb) shape, packed for solve_lanes."""
-
-    __slots__ = ("lanes", "anchor_a", "vectors_a", "anchor_b", "vectors_b", "t")
-
-    def __init__(self, lanes, anchor_a, vectors_a, anchor_b, vectors_b, t):
-        self.lanes = lanes  # their positions in (step, slot) order
-        self.anchor_a = anchor_a  # (n, 3)
-        self.vectors_a = vectors_a  # (n, La, 3)
-        self.anchor_b = anchor_b  # (n, 3)
-        self.vectors_b = vectors_b  # (n, Lb, 3)
-        self.t = t  # (n, La + Lb): the warm starts, then the last solve's t*
-
-
 class _Lanes:
-    """The kept lanes of one state array: its placement, each lane's (step, slot), and the lanes by (La, Lb) shape.
+    """The kept lanes of one state array, solved: its placement, and each lane's (step, slot) and inner solution.
 
     Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
-    of np.nonzero over the broad phase's kept mask. (Plain classes, not
+    of np.nonzero over the broad phase's kept mask. t[k, :La + Lb] is its t*
+    (the rest of the row is its warm-start entry's), d_sq[k] its squared
+    distance, closest_a[k] and closest_b[k] its closest points and
+    clearance[k] its distance minus margin_sum[k]. (Plain classes, not
     dataclasses, so that importing the package does not pay for generating
     their methods.)
     """
 
-    __slots__ = ("placement", "step", "slot", "margin_sum", "groups")
+    __slots__ = ("placement", "step", "slot", "margin_sum", "t", "d_sq", "closest_a", "closest_b", "clearance")
 
-    def __init__(self, placement: Placement, step, slot, margin_sum: np.ndarray, groups: list[_LaneGroup]):
+    def __init__(self, placement: Placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b):
         self.placement = placement
         self.step = step  # (n,)
         self.slot = slot  # (n,) index into scene.candidate_pairs()
         self.margin_sum = margin_sum  # (n,)
-        self.groups = groups
+        self.t = t  # (n, 6)
+        self.d_sq = d_sq  # (n,)
+        self.closest_a = closest_a  # (n, 3)
+        self.closest_b = closest_b  # (n, 3)
+        self.clearance = np.sqrt(d_sq) - margin_sum  # (n,)
+
+    @property
+    def min_clearance(self) -> float:
+        return float(self.clearance.min()) if len(self.clearance) else math.inf
 
     def keep_starts(self, warm: np.ndarray):
-        """Write every group's t into the warm-start store, where the next evaluation of these lanes starts."""
-        for group in self.groups:
-            warm[self.step[group.lanes], self.slot[group.lanes], : group.t.shape[1]] = group.t
+        """Write every lane's t* into the warm-start store, where the next solve of its (step, slot) starts."""
+        warm[self.step, self.slot] = self.t
 
 
 def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
@@ -405,35 +412,38 @@ def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
 
 
 def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> _Lanes:
-    """Read every kept lane straight from the placement arrays, starting from its entry in `warm`."""
+    """Solve every kept lane, read straight from the placement arrays and started from its entry in `warm`.
+
+    The lanes of one (La, Lb) shape are solved in one solve_lanes call. If
+    any lane's solve fails, SolveError names the first in (step, slot) order.
+    """
     group_of, shapes = scene._lane_index
     margins, first, second = scene._bounds_index
     step, slot = np.nonzero(kept)
     a, b = first[slot], second[slot]
     gid = group_of[slot]
-    groups = []
+    n = len(step)
+    t = warm[step, slot]
+    d_sq, closest_a, closest_b = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
+    ok = np.empty(n, dtype=bool)
     for g, (la, lb) in enumerate(shapes):
         lanes = np.flatnonzero(gid == g)
         if not len(lanes):
             continue
         i, ga, gb = step[lanes], a[lanes], b[lanes]
-        groups.append(
-            _LaneGroup(
-                lanes,
-                placement.anchors[i, ga],
-                placement.vectors[i, ga, :la],
-                placement.anchors[i, gb],
-                placement.vectors[i, gb, :lb],
-                warm[i, slot[lanes], : la + lb],
-            )
+        res = solve_lanes(
+            placement.anchors[i, ga], placement.vectors[i, ga, :la],
+            placement.anchors[i, gb], placement.vectors[i, gb, :lb],
+            t[lanes, : la + lb], scene.inner,
         )
-    return _Lanes(placement, step, slot, margins[a] + margins[b], groups)
-
-
-def _lanes_at(scene: Scene, states, slack: float, warm: np.ndarray) -> _Lanes:
-    """Place `states`, run the broad phase and pack the kept lanes."""
-    placement = place_states(scene, states)
-    return _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
+        t[lanes, : la + lb] = res.t_star
+        d_sq[lanes], closest_a[lanes], closest_b[lanes] = res.d_sq, res.closest_a, res.closest_b
+        ok[lanes] = res.converged & np.isfinite(res.d_sq)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        refs = scene.primitive_refs()
+        raise SolveError(f"inner solve failed for pair {refs[a[k]].name}:{refs[b[k]].name} at step {step[k] + 1}")
+    return _Lanes(placement, step, slot, margins[a] + margins[b], t, d_sq, closest_a, closest_b)
 
 
 def _lane_gradient(
@@ -451,11 +461,12 @@ def _lane_gradient(
     """Gradient of a solved lane's d_sq w.r.t. its step's stacked state, shape (dim_total,).
 
     The lane is refs a and b at step i of `placement`, `x_row` is step i's
-    state, and t_star, closest_a and closest_b are its converged inner
-    solution under `settings`. Take the signed rows r_l (a's vectors, then
-    b's negated), d = closest_a − closest_b, and the inner Hessian H at t*
-    (the matrix sensitivity_matrix factors). By the implicit function theorem
-    dD/dx = ∂D/∂x − λᵀ ∂²U/∂t∂x, where H λ = ∂D/∂t = 2 R d, so one L×L solve
+    state, and t_star (its first La + Lb entries), closest_a and closest_b
+    are its converged inner solution under `settings`. Take the signed rows
+    r_l (a's vectors, then b's negated), d = closest_a − closest_b, and the
+    inner Hessian H at t* (the matrix sensitivity_matrix factors). By the
+    implicit function theorem dD/dx = ∂D/∂x − λᵀ ∂²U/∂t∂x, where
+    H λ = ∂D/∂t = 2 R d, so one L×L solve
     against a vector stands in for dt/dx (the adjoint form). With
     e = d − Σ λ_l r_l, a's anchor takes the world force 2e and b's anchor −2e,
     and row l takes g_l = 2(t_l e − λ_l d), whose torques r_l × g_l add up
@@ -471,7 +482,7 @@ def _lane_gradient(
     if rows:
         hess = [[2.0 * (xi * xj + yi * yj + zi * zj) for xj, yj, zj in rows] for xi, yi, zi in rows]
         reg, con = 2.0 * settings.w_reg, 2.0 * settings.w_con
-        t = t_star.tolist()
+        t = t_star[: la + lb].tolist()
         diag = [hess[l][l] + reg + (con if tl > 1.0 or tl < 0.0 else 0.0) for l, tl in enumerate(t)]
         # _newton_step solves H λ = −(its last argument)
         lam = _newton_step(hess, diag, [-2.0 * (x * dx + y * dy + z * dz) for x, y, z in rows])
@@ -604,9 +615,9 @@ def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -
         if acc.need_derivs:
             jac = fk_jacobian(robot, state, tgt.link, tgt.local, frames)
             acc.grad[i, off : off + robot.dim] += 2.0 * tgt.weight * (e @ jac)
-            block = np.zeros((acc.dim, acc.dim))
-            block[off : off + robot.dim, off : off + robot.dim] = 2.0 * tgt.weight * (jac.T @ jac)
-            acc.add_block(i, block)
+            # the upper triangle of the robot's block, as add_block would add it
+            p, q = np.triu_indices(robot.dim)
+            acc.band[acc.bandwidth + p - q, i * acc.dim + off + q] += (2.0 * tgt.weight * (jac.T @ jac))[p, q]
     return value
 
 
@@ -680,37 +691,14 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
 
 
 def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
-    """Soft collision penalty over every lane, solved in one solve_lanes call per (La, Lb) group.
+    """Soft collision penalty over every solved lane.
 
     Returns (value, min_clearance, max_violation), summed in (step, slot)
-    order. Each group's t becomes its t*; the caller keeps them as warm starts
-    (_Lanes.keep_starts) once the states are accepted, and a later evaluation
-    of the same lanes starts warm from them.
+    order.
     """
     w_ca = scene.objectives.w_collision
-    refs = scene.primitive_refs()
     pairs = scene.candidate_pairs()
-    placement = lanes.placement
-    n = len(lanes.step)
-    d_sq = np.empty(n)
-    ok = np.empty(n, dtype=bool)
-    home = np.empty((n, 2), dtype=np.intp)  # lane -> (group, row)
-    solved = []
-    for g, group in enumerate(lanes.groups):
-        res = solve_lanes(group.anchor_a, group.vectors_a, group.anchor_b, group.vectors_b, group.t, scene.inner)
-        group.t = res.t_star
-        solved.append(res)
-        d_sq[group.lanes] = res.d_sq
-        ok[group.lanes] = res.converged & np.isfinite(res.d_sq)
-        home[group.lanes, 0] = g
-        home[group.lanes, 1] = np.arange(len(group.lanes))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        a, b = pairs[lanes.slot[k]]
-        raise SolveError(f"inner solve failed for pair {refs[a].name}:{refs[b].name} at step {lanes.step[k] + 1}")
-
-    clearance = np.sqrt(d_sq) - lanes.margin_sum
-    min_clearance = float(clearance.min()) if n else math.inf
+    d_sq, clearance = lanes.d_sq, lanes.clearance
     m2 = lanes.margin_sum * lanes.margin_sum
     value = 0.0
     max_violation = 0.0
@@ -721,11 +709,9 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
         if acc.need_derivs:
             i = int(lanes.step[k])
             a, b = pairs[lanes.slot[k]]
-            g, row = home[k].tolist()
-            res = solved[g]
             grad = _lane_gradient(
-                scene, placement, states[i], i, a, b,
-                res.t_star[row], res.closest_a[row], res.closest_b[row], scene.inner,
+                scene, lanes.placement, states[i], i, a, b,
+                lanes.t[k], lanes.closest_a[k], lanes.closest_b[k], scene.inner,
             )
             acc.grad[i] += (2.0 * w_ca * e) * grad
             # Gauss-Newton model: e < 0 whenever the penalty is active, so
@@ -733,7 +719,7 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
             # and only degrades the Newton direction; keep the PSD part.
             block = (2.0 * w_ca) * np.outer(grad, grad)
             acc.add_block(i, block)
-    return value, min_clearance, max_violation
+    return value, lanes.min_clearance, max_violation
 
 
 def _dense_hessian(acc: _Accumulator) -> np.ndarray:
@@ -792,13 +778,14 @@ def _cheap_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) 
 def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Optional[tuple[float, float]] = None):
     """Objective over the stacked trajectory; returns (value, acc, min_clearance, max_violation).
 
-    `lanes` are those of `states` (_lanes_at), whose broad phase makes the
-    value exact: culled pairs have bounding separation > slack >= 0, hence
-    positive clearance and zero penalty. (A pair set frozen across a line
-    search would make trial values incomparable and can cycle.) Lanes solved
-    before, the accepted trial's, are re-solved warm from their t*.
-    `cheap` is _cheap_terms' result at `states` when a value-only caller has
-    it already; the collision term is then added to it.
+    `lanes` are the solved lanes of `states` (_pack_lanes), whose broad phase
+    makes the value exact: culled pairs have bounding separation
+    > slack >= 0, hence positive clearance and zero penalty. (A pair set
+    frozen across a line search would make trial values incomparable and can
+    cycle.) Nothing is solved here: a derivative evaluation reads the
+    solutions of the trial that placed `states`. `cheap` is _cheap_terms'
+    result at `states` when a value-only caller has it already; the
+    collision term is then added to it.
     """
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, lanes.placement, acc)
@@ -808,14 +795,15 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Opt
 
 
 def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: np.ndarray):
-    """The value of a line-search trial at `states`, or None for its lanes if its cheap terms exceed `bound`.
+    """The value of a line-search trial at `states` and its solved lanes (None if its cheap terms exceed `bound`).
 
     Returns (value, lanes). The trial is placed once. If smoothness + goal +
     limit is already above the Armijo `bound`, the full value is too, so the
     trial is rejected with its partial sum and lanes None: no broad phase, no
     lanes packed or solved. (A NaN partial sum is not above the bound and
-    goes on to the lanes.) Otherwise the lanes come from the same placement
-    and _evaluate adds the collision term to the partial sum.
+    goes on to the lanes.) Otherwise the lanes are culled and solved from the
+    same placement and _evaluate adds the collision term to the partial sum.
+    With `bound` inf, the trial cannot be rejected.
     """
     placement = place_states(scene, states)
     cheap = _cheap_terms(scene, states, placement, _Accumulator(len(states), states.shape[1], False))
@@ -903,7 +891,10 @@ def solve(
     smoothness + goal + limit terms alone exceed the Armijo bound is rejected
     before its broad phase and lane solves (_line_search_trial): the collision
     term is non-negative, so it could not pass, and a rejected trial's t* is
-    never kept. Such a trial cannot raise SolveError.
+    never kept. Such a trial cannot raise SolveError. The start is evaluated
+    as a trial that cannot be rejected, and each placed state's lanes are
+    solved once, by its trial: the derivative evaluation at accepted states
+    and the report read that trial's solutions.
     """
     s = settings or scene.outer
     traj = initial if initial is not None else default_trajectory(scene)
@@ -917,13 +908,13 @@ def solve(
     history: list[IterationStats] = []
     reason = "max_iters"
     converged = False
-    # The lanes of `states`, handed from the accepted trial to the next
-    # evaluation at the same states, so each accepted state is placed once.
-    lanes = _lanes_at(scene, states, s.broad_phase_slack, warm)
+    # `value` and `lanes` are those of `states`, from the trial that placed
+    # them; so each accepted state is placed and its lanes solved once.
+    value, lanes = _line_search_trial(scene, states, math.inf, s.broad_phase_slack, warm)
+    lanes.keep_starts(warm)
 
     for _ in range(s.max_outer_iters):
         value, acc, min_clear, max_viol = _evaluate(scene, states, lanes, True)
-        lanes.keep_starts(warm)
         grad_flat = acc.grad.ravel()
         grad_inf = float(np.abs(grad_flat).max()) if grad_flat.size else 0.0
         num_active = len(lanes.step)
@@ -982,12 +973,13 @@ def solve(
         elif alpha < 0.25:
             lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
         # Stall check on the accepted candidate value.
-        if abs(value - cand_value) <= s.ftol * max(1.0, abs(cand_value)):
+        stalled = abs(value - cand_value) <= s.ftol * max(1.0, abs(cand_value))
+        value = cand_value
+        if stalled:
             converged, reason = True, "ftol"
             break
 
-    final_value, _, final_clear, _ = _evaluate(scene, states, lanes, False)
-    return Trajectory(states, scene.h), SolveReport(history, converged, reason, final_value, final_clear)
+    return Trajectory(states, scene.h), SolveReport(history, converged, reason, value, lanes.min_clearance)
 
 
 def broad_phase_rows(scene: Scene, placement: Placement, slack: float) -> np.ndarray:

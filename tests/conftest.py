@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from proxopt import trajopt
+
 SCENES = pathlib.Path(__file__).parent / "scenes"
 
 
@@ -14,6 +16,19 @@ def scenes_dir():
 
 def scene_text(name: str) -> str:
     return (SCENES / f"{name}.json").read_text()
+
+
+def solved_lanes(scene, states, warm=None):
+    """The solved lanes of `states`, built as a line-search trial builds them.
+
+    One placement, the scene's broad phase, and every kept lane solved from
+    its entry in `warm` (all cold if None).
+    """
+    placement = trajopt.place_states(scene, states)
+    kept = trajopt.broad_phase_rows(scene, placement, scene.outer.broad_phase_slack)
+    if warm is None:
+        warm = trajopt._cold_starts(scene, len(states))
+    return trajopt._pack_lanes(scene, placement, kept, warm)
 
 
 def exact_distance(pair) -> float:

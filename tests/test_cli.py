@@ -69,6 +69,9 @@ def test_plan_input_errors(tmp_path, capsys):
         "settings.broad_phase_slack=-0.5",
         "horizon.h=1e-300",
         "horizon.h=1e-160",
+        "settings.max_outer_iters=-3",
+        "settings.grad_tol=-1",
+        "settings.ftol=-1",
     ):
         assert main(["plan", _scene_path("minimal"), "-o", out, "--set", bad]) == 1
         assert bad.split("=")[0] in capsys.readouterr().err
@@ -209,6 +212,16 @@ def test_distance_rejects_an_obstacle_name_that_is_not_a_string(tmp_path, capsys
     path.write_text(json.dumps(doc))
     assert main(["distance", str(path), "--pair", "stick_capsule:crate_box"]) == 1
     assert capsys.readouterr().err.startswith("error: obstacles[0].name: must be a string")
+
+
+def test_distance_rejects_a_repeated_primitive_name(tmp_path, capsys):
+    # with both spheres named a_sphere, the pair a_sphere:a_sphere would be b's sphere against itself
+    doc = json.loads(scene_text("two_sphere_swap"))
+    doc["robots"][1]["primitives"][0]["name"] = "a_sphere"
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(doc))
+    assert main(["distance", str(path), "--pair", "a_sphere:a_sphere"]) == 1
+    assert capsys.readouterr().err.startswith("error: robots[1].primitives[0].name: duplicate primitive name")
 
 
 def test_gradcheck_passes(capsys):

@@ -3,14 +3,16 @@
 `solve_lanes` solves many pairs of one (La, Lb) shape at once and must give
 every lane exactly what `solve_inner` gives that pair: the same t*, d_sq,
 closest points, step count and convergence flag, to the bit. The planner's
-collision term solves all (step, pair) lanes of an evaluation with it; the
-reference below is the per-lane loop over `solve_inner` and `pair_derivatives`
-that the planner ran before, and `_evaluate` must match it through a solve,
-including the evaluations that reuse the lanes of an accepted line-search
-trial: bitwise in everything but the gradient and the Hessian band. Its
-warm starts come from a tuple-keyed map updated where the planner keeps t*
-(after a derivative evaluation and after an accepted trial), which the
-planner's warm-start store must mirror entry for entry. The gradient and band
+planner solves all (step, pair) lanes of a placed state with it when it
+builds them; the reference below is the per-lane loop over `solve_inner` and
+`pair_derivatives` that the planner ran before, and `_evaluate` must match it
+through a solve, including the derivative evaluations, which solve nothing
+and read the lanes of the accepted line-search trial: bitwise in everything
+but the gradient and the Hessian band. Its warm starts come from a
+tuple-keyed map updated where the planner keeps t* (after the start and
+after an accepted trial), which the planner's warm-start store must mirror
+entry for entry; its derivative evaluations solve the lanes again, warm from
+the kept t*. The gradient and band
 come from the adjoint `_lane_gradient`, which is mathematically equal to the
 reference's `dt/dx` chain but rounds differently, so they must agree to
 1e-10 of their largest entry. A line-search trial whose cheap terms already
@@ -40,7 +42,7 @@ from proxopt.trajopt import (
     place_states,
     solve,
 )
-from conftest import scene_text
+from conftest import scene_text, solved_lanes
 from test_placement import SCENES, _random_states
 
 
@@ -197,12 +199,13 @@ def _reference_evaluate(scene, states, warm, need_derivs, slack):
 
 
 def _lane_starts(scene, lanes):
-    """The t of every lane of `lanes` (after an evaluation, its t*), keyed (step, (a, b))."""
+    """The t* of every lane of `lanes`, keyed (step, (a, b))."""
     pairs = scene.candidate_pairs()
+    refs = scene.primitive_refs()
+    keys = [pairs[c] for c in lanes.slot.tolist()]
     return {
-        (int(lanes.step[k]), pairs[lanes.slot[k]]): group.t[row]
-        for group in lanes.groups
-        for row, k in enumerate(group.lanes.tolist())
+        (int(i), (a, b)): lanes.t[k, : refs[a].num_params + refs[b].num_params]
+        for k, (i, (a, b)) in enumerate(zip(lanes.step, keys))
     }
 
 
@@ -222,15 +225,17 @@ def _assert_close(got, ref, rel=1e-10):
 
 @pytest.mark.parametrize("name,iters", [("arm7_box", 6), ("two_box_swap", 4), ("two_sphere_swap", 4)])
 def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeypatch):
-    # Every _evaluate call of a short solve, including those that reuse the
-    # accepted trial's lanes, is checked against a fresh per-lane evaluation
-    # from a tuple-keyed warm-start map. The map takes a derivative
-    # evaluation's t* after it, and a trial's t* only once the trial is
-    # accepted (its lanes are the next evaluation's); at every evaluation the
+    # Every _evaluate call of a short solve, including the derivative
+    # evaluations that read the accepted trial's lanes, is checked against a
+    # fresh per-lane evaluation from a tuple-keyed warm-start map. The map
+    # takes a trial's t* only once the trial is accepted (its lanes are the
+    # next evaluation's; the start is a trial too); at every evaluation the
     # solver's store must hold exactly the map's starts, and 0.5 elsewhere,
-    # so a rejected trial's t* never reaches it. A trial rejected on its cheap
-    # terms never reaches _evaluate; its full reference value must fail the
-    # same Armijo bound.
+    # so a rejected trial's t* never reaches it. A derivative evaluation's
+    # reference solves its lanes again, warm from the kept t*, and must give
+    # the trial's solutions. A trial rejected on its cheap terms never
+    # reaches _evaluate; its full reference value must fail the same Armijo
+    # bound.
     scene = load_scene(scene_text(name))
     scene.outer.max_outer_iters = iters
     slack = scene.outer.broad_phase_slack
@@ -239,7 +244,7 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     stores = []
     warm = {}
     last_trial = [None, None]  # the latest value-only evaluation's lanes and t*
-    seen = {"derivs": 0, "handed": 0, "trials": 0, "accepted": 0, "cheap_rejects": 0}
+    seen = {"derivs": 0, "handed": 0, "trials": 0, "cheap_rejects": 0}
 
     def cold(scene, num_steps):
         stores.append(original_cold(scene, num_steps))
@@ -257,7 +262,6 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
         handed = lanes is last_trial[0]
         if handed:  # the trial was accepted
             warm.update(last_trial[1])
-            seen["accepted"] += 1
         assert len(stores) == 1 and np.array_equal(stores[0], _store_of(scene, warm))
         ref = _reference_evaluate(scene, states, dict(warm), need_derivs, slack)
         got = original(scene, states, lanes, need_derivs, cheap)
@@ -273,9 +277,7 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
         assert got[2:] == ref[3:5]
         step, slot = np.nonzero(ref[5])
         assert np.array_equal(lanes.step, step) and np.array_equal(lanes.slot, slot)
-        if need_derivs:
-            warm.update(ref[2])
-        else:
+        if not need_derivs:
             last_trial[:] = lanes, ref[2]
             seen["trials"] += 1
         return got
@@ -285,11 +287,12 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     monkeypatch.setattr(trajopt, "_line_search_trial", trial)
     _, report = solve(scene)
     assert report.num_iterations == iters or report.converged
-    # every derivative evaluation after the first reuses the accepted trial's lanes
-    assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"] - 1
+    # every derivative evaluation reads the accepted trial's lanes
+    assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"]
     # some trials were rejected, on their cheap terms or after their lanes
-    # (the final evaluation is value-only too, and no trial)
-    assert seen["trials"] - 1 - seen["accepted"] + seen["cheap_rejects"] > 0
+    # (the start is value-only too, and no line-search trial)
+    accepted = sum(stats.alpha > 0.0 for stats in report.iterations)
+    assert seen["trials"] - 1 - accepted + seen["cheap_rejects"] > 0
     assert seen["cheap_rejects"] == sum(stats.cheap_rejects for stats in report.iterations)
 
 
@@ -300,9 +303,8 @@ def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
     slack = scene.outer.broad_phase_slack
     with pytest.raises(SolveError) as ref:
         _reference_evaluate(scene, states, {}, False, slack)
-    lanes = trajopt._lanes_at(scene, states, slack, trajopt._cold_starts(scene, len(states)))
     with pytest.raises(SolveError) as got:
-        trajopt._evaluate(scene, states, lanes, False)
+        solved_lanes(scene, states)
     assert str(got.value) == str(ref.value)
 
 

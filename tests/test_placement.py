@@ -3,12 +3,13 @@
 `link_frames` and `place_states` place all N steps in one array pass, the
 broad phase tests all steps at once and `limit_penalty` evaluates each stencil
 order over all limited columns and steps, the values `validate` reads. The FK Jacobians take one cross product over all ancestor
-joints, and the smoothness and limit terms add straight into the Hessian's
-upper band. The reference functions below do the same work one step, one
+joints, and the smoothness, limit and end-effector terms add straight into
+the Hessian's upper band. The reference functions below do the same work one step, one
 joint, one block and one entry at a time, as the solver did before, on a
 dense Hessian.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from proxopt.poses import Pose, axis_angle_matrix
 from proxopt.primitives import Kind, Primitive, WorldPrimitive, bounding_center_radius, place
 from proxopt.scene_io import load_scene
 from proxopt.trajopt import (
+    EETarget,
     Obstacle,
     Objectives,
     Scene,
@@ -39,7 +41,7 @@ from proxopt.trajopt import (
     limit_penalty,
     place_states,
 )
-from conftest import scene_text
+from conftest import scene_text, solved_lanes
 
 
 # -- per-step reference ------------------------------------------------------
@@ -422,16 +424,43 @@ def test_smoothness_band_is_bitwise_the_per_step_loop(num_steps):
     assert np.array_equal(hess, ref_hess)
 
 
+@pytest.mark.parametrize("num_steps", [1, 2, 50])
+def test_goal_band_is_bitwise_the_padded_step_block(num_steps):
+    # each end-effector target adds its robot's (dim, dim) block straight into
+    # the band; added onto random values, the band is bitwise what adding that
+    # block padded with zeros to the whole (d, d) step block gives
+    scene = _two_robot_scene(num_steps)
+    targets = [
+        EETarget(step, r, link, [0.1, -0.05, 0.2], [0.5, 0.3, 0.4], weight)
+        for r, robot in enumerate(scene.robots)
+        for step, link, weight in ((num_steps, robot.n, 7.0), (1, robot.n // 2, 0.3))
+    ]
+    scene = dataclasses.replace(scene, objectives=Objectives(ee_targets=targets))
+    states = _random_states(scene, 16, num_steps)
+    placement = place_states(scene, states)
+    acc, _, _ = _seeded_accumulator(num_steps, states.shape[1], 17)
+    ref, _, _ = _seeded_accumulator(num_steps, states.shape[1], 17)
+    seeded = acc.band.copy()
+    trajopt._goal_terms(scene, states, placement, acc)
+    for tgt in targets:
+        robot, off, i = scene.robots[tgt.robot], scene.robot_offsets[tgt.robot], tgt.step - 1
+        frames = placement.frames[tgt.robot].step(i)
+        jac = fk_jacobian(robot, scene.robot_state(states[i], tgt.robot), tgt.link, tgt.local, frames)
+        block = np.zeros((ref.dim, ref.dim))
+        block[off : off + robot.dim, off : off + robot.dim] = 2.0 * tgt.weight * (jac.T @ jac)
+        ref.add_block(i, block)
+    assert scene.robot_offsets[1] > 0 and not np.array_equal(ref.band, seeded)
+    assert np.array_equal(acc.band, ref.band)
+
+
 def test_derivative_evaluation_allocates_no_dense_hessian():
     # arm7_box's dense Hessian would be (160 * 13)^2 floats = 34.6 MB
     scene = load_scene(scene_text("arm7_box"))
     states = trajopt.default_trajectory(scene).states
-    slack = scene.outer.broad_phase_slack
-    warm = trajopt._cold_starts(scene, len(states))
-    trajopt._evaluate(scene, states, trajopt._lanes_at(scene, states, slack, warm), True)  # builds the lazy indices
+    trajopt._evaluate(scene, states, solved_lanes(scene, states), True)  # builds the lazy indices
     tracemalloc.start()
     try:
-        trajopt._evaluate(scene, states, trajopt._lanes_at(scene, states, slack, warm), True)
+        trajopt._evaluate(scene, states, solved_lanes(scene, states), True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

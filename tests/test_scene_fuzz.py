@@ -2,11 +2,14 @@
 
 Each mutant drops a key, changes a value's type, puts NaN or an infinity into
 an array, gives a list the wrong length, or adds an unknown key. The loader
-must accept it or raise SceneError; what it accepts must round-trip, and what
-it rejects must end the CLI with exit 1 and a one-line error.
+must accept it or raise SceneError; what it accepts must round-trip and plan
+(a short solve may raise SolveError, nothing else, and its plan must
+validate), and what it rejects must end the CLI with exit 1 and a one-line
+error.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -15,11 +18,14 @@ import pytest
 
 from proxopt.cli import main
 from proxopt.scene_io import SceneError, load_scene, save_scene, scene_from_dict, scene_to_dict
+from proxopt.trajopt import SolveError, solve, validate
 from conftest import SCENES
 
 NAMES = sorted(path.stem for path in SCENES.glob("*.json") if path.stem != "malformed")
 MUTANTS_PER_SCENE = 300
 CLI_SAMPLE = 10  # rejected mutants of each scene run through `proxopt plan`
+PLAN_SAMPLE = 10  # accepted mutants of each scene solved for PLAN_ITERS iterations and validated
+PLAN_ITERS = 3
 RETYPED = ("text", None, True, [], {})
 
 
@@ -69,7 +75,7 @@ def _mutate(doc, rng: random.Random) -> str:
 def test_mutated_scenes_load_or_raise_scene_error(name, tmp_path, capsys):
     rng = random.Random(f"scene-fuzz-{name}")
     original = json.loads((SCENES / f"{name}.json").read_text())
-    rejected = []
+    rejected, accepted = [], []
     for _ in range(MUTANTS_PER_SCENE):
         doc = copy.deepcopy(original)
         kind = _mutate(doc, rng)
@@ -81,6 +87,7 @@ def test_mutated_scenes_load_or_raise_scene_error(name, tmp_path, capsys):
             continue
         again = load_scene(save_scene(scene))
         assert scene_to_dict(again) == scene_to_dict(scene), (kind, text)
+        accepted.append(scene)
     assert rejected, "no mutant was rejected"
 
     out = str(tmp_path / "plan.csv")
@@ -90,3 +97,10 @@ def test_mutated_scenes_load_or_raise_scene_error(name, tmp_path, capsys):
         assert main(["plan", str(path), "-o", out]) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (text, err)
+
+    for scene in rng.sample(accepted, min(PLAN_SAMPLE, len(accepted))):
+        try:
+            traj, _ = solve(scene, settings=dataclasses.replace(scene.outer, max_outer_iters=PLAN_ITERS))
+        except SolveError:
+            continue
+        validate(scene, traj)

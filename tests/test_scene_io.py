@@ -181,6 +181,15 @@ def test_export_csv_times_and_parse_back():
     back = parse_trajectory_csv(csv, scene)
     assert np.array_equal(back.states, states)  # exact decimal round trip
     assert back.h == scene.h
+    # a comma, a quote or a line break in a robot name is quoted, so the name stays one cell
+    for name in ("a,x", 'say "hi"', "two\nlines", ' ,"\n'):
+        doc = json.loads(scene_text("minimal"))
+        doc["robots"][0]["name"] = name
+        for target in doc["objectives"]["state_targets"]:
+            target["robot"] = name
+        named = scene_from_dict(doc)
+        back = parse_trajectory_csv(export_trajectory(traj, named, "csv"), named)
+        assert np.array_equal(back.states, states), name
 
 
 def test_export_structured_with_clearances():
@@ -266,6 +275,16 @@ def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
         ("arm7_box", ("horizon", "h"), 1e-160, "horizon.h: must be large enough that 2/h² is finite"),
         # h² overflows, where h**2 raises OverflowError
         ("arm7_box", ("horizon", "h"), 1e200, "horizon.h: must be large enough that 2/h² is finite and small enough"),
+        # a solve of no iterations plans nothing, and a negative tolerance never stops one
+        ("minimal", ("settings", "max_outer_iters"), 0, "settings.max_outer_iters: max_outer_iters must be at least 1"),
+        ("minimal", ("settings", "max_outer_iters"), -3, "settings.max_outer_iters: max_outer_iters must be at least 1"),
+        ("minimal", ("settings", "grad_tol"), -1, "settings.grad_tol: grad_tol must be non-negative"),
+        ("minimal", ("settings", "ftol"), -1, "settings.ftol: ftol must be non-negative"),
+        # a pair is named by its primitives' names, so they are unique
+        ("two_sphere_swap", ("robots", 1, "primitives", 0, "name"), "a_sphere",
+         "robots[1].primitives[0].name: duplicate primitive name 'a_sphere'"),
+        ("capsule_box", ("obstacles", 0, "name"), "stick_capsule",
+         "obstacles[0].name: duplicate primitive name 'stick_capsule'"),
     ],
 )
 def test_a_rejected_field_is_named_by_its_json_path(name, keys, value, message):
@@ -276,6 +295,21 @@ def test_a_rejected_field_is_named_by_its_json_path(name, keys, value, message):
     node[keys[-1]] = value
     with pytest.raises(SceneError, match="^" + re.escape(message)):
         scene_from_dict(doc)
+
+
+def test_a_given_name_may_not_repeat_a_generated_one():
+    # robot a's unnamed sphere is a.0.0, and the second unnamed obstacle obstacle1
+    doc = json.loads(scene_text("two_sphere_swap"))
+    del doc["robots"][0]["primitives"][0]["name"]
+    doc["robots"][1]["primitives"][0]["name"] = "a.0.0"
+    with pytest.raises(SceneError, match="^" + re.escape("robots[1].primitives[0].name: duplicate primitive name 'a.0.0'")):
+        scene_from_dict(doc)
+    doc = json.loads(scene_text("capsule_box"))
+    doc["obstacles"] = [{**doc["obstacles"][0], "name": "obstacle1"}, {"kind": "sphere", "margin": 0.1}]
+    with pytest.raises(SceneError, match="^" + re.escape("obstacles[1].name: duplicate primitive name 'obstacle1'")):
+        scene_from_dict(doc)
+    del doc["obstacles"][0]["name"]
+    assert [ref.name for ref in scene_from_dict(doc).primitive_refs()][-2:] == ["obstacle0", "obstacle1"]
 
 
 def test_unknown_key_lists_the_allowed_keys():

@@ -32,7 +32,7 @@ from proxopt.trajopt import (
     solve,
     validate,
 )
-from conftest import exact_distance, scene_text
+from conftest import exact_distance, scene_text, solved_lanes
 
 
 def _sphere_robot(name, margin=0.25):
@@ -80,6 +80,15 @@ def test_scene_and_trajectory_reject_a_time_step_the_stencils_cannot_use(h):
 
 
 def test_outer_settings_reject_zero_damping_and_negative_slack():
+    # a solve of no iterations plans nothing, and a negative tolerance never stops one
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^max_outer_iters must be at least 1"):
+            OuterSettings(max_outer_iters=bad)
+    for name in ("grad_tol", "ftol"):
+        for bad in (-1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+                OuterSettings(**{name: bad})
+    assert OuterSettings(max_outer_iters=1, grad_tol=0.0, ftol=0.0).max_outer_iters == 1
     # from a zero damping the damping never grows, so the outer loop would not end;
     # a negative slack would cull penetrating pairs from the collision term
     for bad in ({"damping_init": 0}, {"damping_init": -1e-3}, {"damping_init": math.nan}):
@@ -246,7 +255,7 @@ def test_evaluate_places_each_step_once(monkeypatch):
 
     monkeypatch.setattr(trajopt, "link_frames", counted)
     states = default_trajectory(scene).states
-    lanes = trajopt._lanes_at(scene, states, scene.outer.broad_phase_slack, trajopt._cold_starts(scene, len(states)))
+    lanes = solved_lanes(scene, states)
     _evaluate(scene, states, lanes, True)
     assert len(lanes.step)  # the collision term has pairs to solve
     assert len(calls) == len(scene.robots) == 1
@@ -257,27 +266,58 @@ def test_evaluate_places_each_step_once(monkeypatch):
 @pytest.mark.parametrize("name,rejects", [("arm7_box", True), ("two_box_swap", False), ("two_sphere_swap", False)])
 def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, rejects, monkeypatch):
     # Over a whole solve, link_frames runs once per robot per placed state (the
-    # start and every line-search trial), and the broad phase once at the start
-    # and once per trial that passed its cheap test. The cheap terms run once
-    # per trial, kept or not, once per derivative evaluation and once in the
-    # final evaluation. On arm7_box, smoothness + goal + limit alone reject
-    # some trials; on the swap scenes the collision term decides every trial.
+    # start, a trial that cannot be rejected, and every line-search trial).
+    # The broad phase runs once per placed state that passes its cheap test;
+    # that state's lanes are then solved, one solve_lanes call per (La, Lb)
+    # group it keeps, and it has one value-only evaluation. The cheap terms
+    # run once per placed state and once per derivative evaluation. A
+    # derivative evaluation solves no lane: it reads those of the trial that
+    # placed its states. So does the report: nothing is evaluated after the
+    # last iteration, and the report's objective and clearance are those of
+    # the last evaluation of the returned states. On arm7_box, smoothness +
+    # goal + limit alone reject some trials; on the swap scenes the collision
+    # term decides every trial.
     scene = load_scene(scene_text(name))
-    calls = {"link_frames": 0, "broad_phase_rows": 0, "_limit_penalty": 0}
-    for attr in calls:
+    calls = {"link_frames": 0, "broad_phase_rows": 0, "_limit_penalty": 0, "solve_lanes": 0, "value_only": 0}
+    groups = []  # the (La, Lb) groups each built set of lanes keeps
+    evaluated = []  # every evaluation's states, value and minimum clearance
+    in_derivs = [False]
+    for attr in ("link_frames", "broad_phase_rows", "_limit_penalty", "solve_lanes"):
         original = getattr(trajopt, attr)
 
         def counted(*args, _attr=attr, _original=original, **kwargs):
             calls[_attr] += 1
+            assert not (_attr == "solve_lanes" and in_derivs[0]), "a derivative evaluation solved lanes"
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(trajopt, attr, counted)
-    _, report = solve(scene)
+    pack, evaluate = trajopt._pack_lanes, trajopt._evaluate
+
+    def counted_pack(scene, placement, kept, warm):
+        groups.append(len(set(scene._lane_index[0][np.nonzero(kept)[1]].tolist())))
+        return pack(scene, placement, kept, warm)
+
+    def counted_evaluate(scene, states, lanes, need_derivs, *rest):
+        in_derivs[0] = need_derivs
+        calls["value_only"] += not need_derivs
+        try:
+            result = evaluate(scene, states, lanes, need_derivs, *rest)
+        finally:
+            in_derivs[0] = False
+        evaluated.append((states.copy(), result[0], result[2]))
+        return result
+
+    monkeypatch.setattr(trajopt, "_pack_lanes", counted_pack)
+    monkeypatch.setattr(trajopt, "_evaluate", counted_evaluate)
+    traj, report = solve(scene)
     trials = sum(stats.trials for stats in report.iterations)
     cheap_rejects = sum(stats.cheap_rejects for stats in report.iterations)
+    last = next(ev for ev in reversed(evaluated) if np.array_equal(ev[0], traj.states))
+    assert (report.final_objective, report.min_clearance) == last[1:]
     assert calls["link_frames"] == len(scene.robots) * (1 + trials)
-    assert calls["broad_phase_rows"] == 1 + trials - cheap_rejects
-    assert calls["_limit_penalty"] == trials + report.num_iterations + 1
+    assert calls["broad_phase_rows"] == len(groups) == calls["value_only"] == 1 + trials - cheap_rejects
+    assert calls["solve_lanes"] == sum(groups) > 0
+    assert calls["_limit_penalty"] == 1 + trials + report.num_iterations
     assert (cheap_rejects > 0) == rejects
     assert all(0 <= stats.cheap_rejects <= stats.trials for stats in report.iterations)
 
@@ -515,21 +555,23 @@ def test_solve_stops_with_line_search_failure(monkeypatch):
 
 
 def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch):
-    # Every value-only lane solve fails. arm7_box's first trials are rejected
-    # on smoothness + goal + limit alone, so they place their states and raise
-    # nothing; solve raises SolveError at the first trial that passes its
-    # cheap test, the only one whose lanes are solved.
+    # Every lane solve after the first derivative evaluation fails. arm7_box's
+    # first trials are rejected on smoothness + goal + limit alone, so they
+    # place their states and raise nothing; solve raises SolveError at the
+    # first trial that passes its cheap test, the only one whose lanes are
+    # solved.
     scene = load_scene(scene_text("arm7_box"))
     events = []
     evaluate, solve_lanes, place_states_ = trajopt._evaluate, trajopt.solve_lanes, trajopt.place_states
 
     def traced_evaluate(scene, states, lanes, need_derivs, *rest):
-        events.append("derivs" if need_derivs else "trial")
+        events.append("derivs" if need_derivs else "value")
         return evaluate(scene, states, lanes, need_derivs, *rest)
 
     def failing_lanes(*args):
+        events.append("lanes")
         res = solve_lanes(*args)
-        if events[-1] == "trial":
+        if "derivs" in events:
             res.converged[:] = False
         return res
 
@@ -542,10 +584,15 @@ def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch)
     monkeypatch.setattr(trajopt, "place_states", traced_place)
     with pytest.raises(trajopt.SolveError, match="^inner solve failed"):
         solve(scene)
-    # the start, its derivative evaluation, then trials placed until one passes
-    assert events[:2] == ["place", "derivs"] and events[-1] == "trial"
-    placed = events[2:-1]
-    assert placed == ["place"] * len(placed) and len(placed) >= 2  # >= 1 cheap rejection
+    # the start, its lanes and value, its derivative evaluation, then trials
+    # placed until one passes its cheap test and solves its lanes
+    first = events.index("derivs")
+    assert events[0] == "place" and events[first - 1 : first + 1] == ["value", "derivs"]
+    assert set(events[1 : first - 1]) == {"lanes"}
+    placed = events[first + 1 :]
+    k = placed.index("lanes")
+    assert placed[:k] == ["place"] * k and k >= 2  # >= 1 cheap rejection
+    assert set(placed[k:]) == {"lanes"}
 
 
 def _nan_sphere_swap():
