@@ -6,8 +6,8 @@ softened with one-sided quadratic barriers and a small centering regularizer
 ||t - 0.5||^2 keeps the problem strongly convex (parallel capsules and friends
 stay well-conditioned). The resulting unconstrained problem is solved with
 Newton's method: solve_inner for one pair, solve_lanes for many pairs of one
-shape in one array pass with the same rounding. certified_distance turns one such solve into certified lower
-and upper bounds on the hard squared distance.
+shape in one array pass with the same rounding. certify_soft_minimizer turns
+either one's soft minimizer into certified bounds on the hard squared distance.
 """
 
 from __future__ import annotations
@@ -51,19 +51,14 @@ class ProximityResult:
     converged: bool
 
 
-def split_params(pair: tuple[WorldPrimitive, WorldPrimitive], t: np.ndarray):
-    la = pair[0].num_params
-    lb = pair[1].num_params
-    t = np.asarray(t, dtype=float)
-    if t.shape != (la + lb,):
-        raise ValueError(f"expected {la + lb} parameters, got {t.shape}")
-    return t[:la], t[la:]
-
-
 def eval_D(pair: tuple[WorldPrimitive, WorldPrimitive], t: np.ndarray) -> float:
     """Squared distance between the parameterized points, before minimization."""
-    ta, tb = split_params(pair, t)
-    d = (pair[0].anchor + ta @ pair[0].vectors) - (pair[1].anchor + tb @ pair[1].vectors)
+    a, b = pair
+    la = a.num_params
+    t = np.asarray(t, dtype=float)
+    if t.shape != (la + b.num_params,):
+        raise ValueError(f"expected {la + b.num_params} parameters, got {t.shape}")
+    d = (a.anchor + t[:la] @ a.vectors) - (b.anchor + t[la:] @ b.vectors)
     return float(d @ d)
 
 
@@ -84,17 +79,6 @@ def eval_R(t: np.ndarray) -> float:
     return float(d @ d)
 
 
-def _barrier_terms(t: np.ndarray):
-    """Value, gradient and Hessian diagonal of sum_l S+_1(t_l) + S-_0(t_l)."""
-    over = np.maximum(t - 1.0, 0.0)
-    under = np.minimum(t, 0.0)
-    e = over + under
-    value = float(e @ e)
-    grad = 2.0 * e
-    hess_diag = np.where((t > 1.0) | (t < 0.0), 2.0, 0.0)
-    return value, grad, hess_diag
-
-
 def eval_U(
     pair: tuple[WorldPrimitive, WorldPrimitive],
     t: np.ndarray,
@@ -111,13 +95,13 @@ def eval_U(
     # Columns of jt: +v_l for A's parameters, -v_l for B's.
     jt = np.concatenate([a.vectors, -b.vectors], axis=0).T
 
-    bval, bgrad, bdiag = _barrier_terms(t)
+    e = np.maximum(t - 1.0, 0.0) + np.minimum(t, 0.0)  # barrier excess: sum_l S+_1(t_l) + S-_0(t_l) = |e|^2
     tc = t - 0.5
-    value = float(d @ d) + settings.w_reg * float(tc @ tc) + settings.w_con * bval
-    grad = 2.0 * (d @ jt) + 2.0 * settings.w_reg * tc + settings.w_con * bgrad
+    value = float(d @ d) + settings.w_reg * float(tc @ tc) + settings.w_con * float(e @ e)
+    grad = 2.0 * (d @ jt) + 2.0 * settings.w_reg * tc + settings.w_con * (2.0 * e)
     hess = 2.0 * (jt.T @ jt)
     idx = np.arange(len(t))
-    hess[idx, idx] += 2.0 * settings.w_reg + settings.w_con * bdiag
+    hess[idx, idx] += 2.0 * settings.w_reg + settings.w_con * np.where((t > 1.0) | (t < 0.0), 2.0, 0.0)
     return value, grad, hess
 
 
@@ -500,21 +484,30 @@ def certified_distance(
     pair: tuple[WorldPrimitive, WorldPrimitive],
     settings: InnerSettings = DEFAULT_INNER,
 ) -> tuple[float, float]:
+    """certify_soft_minimizer's bounds on the hard squared distance of a pair, from solve_inner (cold)."""
+    a, b = pair
+    rows = np.concatenate([a.vectors, -b.vectors], axis=0)
+    base = a.anchor - b.anchor
+    # no soft minimizer is read for L = 0 or a non-finite pair, on which solve_inner may raise
+    needed = len(rows) > 0 and math.isfinite(base.sum() + rows.T.sum())
+    return certify_soft_minimizer(base, rows, solve_inner(pair, settings).t_star if needed else None)
+
+
+def certify_soft_minimizer(base: np.ndarray, rows: np.ndarray, t_soft) -> tuple[float, float]:
     """Certified bounds (lower_sq, upper_sq) on the hard box-constrained squared distance.
 
-    The soft minimizer of solve_inner (cold) is clipped into [0, 1]^L and
-    polished by primal active-set steps on f(t) = ||b + J t||^2 over the box:
+    base is a pair's anchor difference, rows its signed vectors (a's, then b's
+    negated) and t_soft a soft minimizer (unread if L = 0 or a coordinate is
+    not finite). t_soft is clipped into [0, 1]^L and polished by primal
+    active-set steps on f(t) = ||base + J t||^2 over the box (J = rows.T):
     least squares on the free coordinates, a ratio test that fixes the first
     coordinate to reach a bound, and release of the fixed coordinate whose
     multiplier has the wrong sign until the KKT conditions hold. At the
     resulting feasible t, upper_sq = f(t), and the Frank-Wolfe duality gap
     min_{s in [0,1]^L} g.(s - t), with g = grad f(t), gives by convexity
-    lower_sq = f(t) + sum_l min(g_l, 0) - g.t <= min f. The bounds hold for any
-    feasible t, so they are valid even when the inner solve does not converge.
+    lower_sq = f(t) + sum_l min(g_l, 0) - g.t <= min f, from any soft start.
     """
-    a, b = pair
-    jt = np.concatenate([a.vectors, -b.vectors], axis=0).T  # (3, L): columns +v_a, -v_b
-    base = a.anchor - b.anchor
+    jt = rows.T  # (3, L): columns +v_a, -v_b
     dim = jt.shape[1]
     # A pair with a non-finite coordinate is a certified collision: (0, inf).
     if dim == 0:
@@ -523,7 +516,7 @@ def certified_distance(
     if not math.isfinite(base.sum() + jt.sum()):
         return 0.0, math.inf
 
-    t = np.clip(solve_inner(pair, settings).t_star, 0.0, 1.0)
+    t = np.clip(t_soft, 0.0, 1.0)
     fixed = (t == 0.0) | (t == 1.0)
     for _ in range(dim + 2):
         free = ~fixed

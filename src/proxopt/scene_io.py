@@ -435,8 +435,9 @@ def export_trajectory(traj: Trajectory, scene: Scene, format: str = "csv", clear
 
     CSV columns: step, time, robot, then coordinate values at full float
     precision (shorter robots leave trailing columns empty); a robot name
-    with a comma, a quote or a line break is quoted. The structured
-    format is JSON and can embed a per-step clearance report.
+    with a comma, a quote or a line break is quoted (every cell of its row if
+    it holds a bare carriage return, which the csv writer leaves unquoted).
+    The structured format is JSON and can embed a per-step clearance report.
     """
     if traj.states.shape != (scene.num_steps, scene.dim_total):
         raise ValueError("trajectory dimensions do not match the scene")
@@ -444,6 +445,7 @@ def export_trajectory(traj: Trajectory, scene: Scene, format: str = "csv", clear
         names = _coordinate_names(scene)
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
+        quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["step", "time", "robot", *names])
         for i in range(traj.num_steps):
             t = (i) * traj.h
@@ -451,7 +453,7 @@ def export_trajectory(traj: Trajectory, scene: Scene, format: str = "csv", clear
                 off = scene.robot_offsets[r]
                 row = traj.states[i, off : off + robot.dim]
                 cells = [format_float(v) for v in row] + [""] * (len(names) - robot.dim)
-                writer.writerow([i + 1, format_float(t), robot.name, *cells])
+                (quote_all if "\r" in robot.name else writer).writerow([i + 1, format_float(t), robot.name, *cells])
         return out.getvalue()
     if format in ("structured", "json"):
         doc = {

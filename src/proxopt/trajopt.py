@@ -17,7 +17,7 @@ and its lanes solved, once: the line-search trial that placed it (the start
 counts as one) hands its solved lanes to the derivative evaluation and the
 report. A lane whose penalty is active gets its gradient from one small
 adjoint solve, taken back through its robot's chain as a wrench
-(`_lane_gradient`).
+(`_lane_gradient`). `validate` certifies every (step, pair) on cold lanes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certified_distance, solve_lanes
+from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certify_soft_minimizer, solve_lanes
 # Not called here: perfbench traces its grid-oracle and scalar inner-solve layers through these names.
 from .distance import brute_force_distance, solve_inner  # noqa: F401
 from .kinematics import (
@@ -317,9 +317,8 @@ class Placement:
 
     anchors[i, p] is ref p's world anchor at step i and vectors[i, p, :L] its
     L world vectors (rows past L are zero). frames[r] holds robot r's link
-    frames with a leading step axis. `world(i, p)` is the WorldPrimitive view
-    that certified_distance and the library's pair derivatives take; it is
-    built only for the refs asked for.
+    frames with a leading step axis. `world(i, p)` builds the WorldPrimitive
+    view of ref p at step i that the library's single-pair functions take.
     """
 
     def __init__(self, scene: Scene, anchors: np.ndarray, vectors: np.ndarray, frames: list[_Frames]):
@@ -327,18 +326,10 @@ class Placement:
         self.anchors = anchors
         self.vectors = vectors
         self.frames = frames
-        self._views: dict[tuple[int, int], WorldPrimitive] = {}
 
     def world(self, i: int, p: int) -> WorldPrimitive:
-        view = self._views.get((i, p))
-        if view is None:
-            ref = self.scene.primitive_refs()[p]
-            if ref.owner is None:
-                view = self.scene.obstacles[ref.index].world
-            else:
-                view = WorldPrimitive(self.anchors[i, p], self.vectors[i, p, : ref.num_params], ref.margin)
-            self._views[(i, p)] = view
-        return view
+        ref = self.scene.primitive_refs()[p]
+        return WorldPrimitive(self.anchors[i, p], self.vectors[i, p, : ref.num_params], ref.margin)
 
     def step_frames(self, i: int) -> list[_Frames]:
         """Every robot's link frames at step i."""
@@ -378,15 +369,15 @@ class _Lanes:
     Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
     of np.nonzero over the broad phase's kept mask. t[k, :La + Lb] is its t*
     (the rest of the row is its warm-start entry's), d_sq[k] its squared
-    distance, closest_a[k] and closest_b[k] its closest points and
-    clearance[k] its distance minus margin_sum[k]. (Plain classes, not
-    dataclasses, so that importing the package does not pay for generating
-    their methods.)
+    distance, closest_a[k] and closest_b[k] its closest points, solved[k]
+    whether it converged to a finite d_sq and clearance[k] its distance minus
+    margin_sum[k]. (Plain classes, not dataclasses, so that importing the
+    package does not pay for generating their methods.)
     """
 
-    __slots__ = ("placement", "step", "slot", "margin_sum", "t", "d_sq", "closest_a", "closest_b", "clearance")
+    __slots__ = ("placement", "step", "slot", "margin_sum", "t", "d_sq", "closest_a", "closest_b", "solved", "clearance")
 
-    def __init__(self, placement: Placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b):
+    def __init__(self, placement: Placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b, solved):
         self.placement = placement
         self.step = step  # (n,)
         self.slot = slot  # (n,) index into scene.candidate_pairs()
@@ -395,6 +386,7 @@ class _Lanes:
         self.d_sq = d_sq  # (n,)
         self.closest_a = closest_a  # (n, 3)
         self.closest_b = closest_b  # (n, 3)
+        self.solved = solved  # (n,)
         self.clearance = np.sqrt(d_sq) - margin_sum  # (n,)
 
     @property
@@ -414,8 +406,8 @@ def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
 def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> _Lanes:
     """Solve every kept lane, read straight from the placement arrays and started from its entry in `warm`.
 
-    The lanes of one (La, Lb) shape are solved in one solve_lanes call. If
-    any lane's solve fails, SolveError names the first in (step, slot) order.
+    The lanes of one (La, Lb) shape are solved in one solve_lanes call. A
+    failed lane is marked in `solved`, and _collision_penalty raises for it.
     """
     group_of, shapes = scene._lane_index
     margins, first, second = scene._bounds_index
@@ -439,11 +431,7 @@ def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.n
         t[lanes, : la + lb] = res.t_star
         d_sq[lanes], closest_a[lanes], closest_b[lanes] = res.d_sq, res.closest_a, res.closest_b
         ok[lanes] = res.converged & np.isfinite(res.d_sq)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        refs = scene.primitive_refs()
-        raise SolveError(f"inner solve failed for pair {refs[a[k]].name}:{refs[b[k]].name} at step {step[k] + 1}")
-    return _Lanes(placement, step, slot, margins[a] + margins[b], t, d_sq, closest_a, closest_b)
+    return _Lanes(placement, step, slot, margins[a] + margins[b], t, d_sq, closest_a, closest_b, ok)
 
 
 def _lane_gradient(
@@ -694,10 +682,14 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
     """Soft collision penalty over every solved lane.
 
     Returns (value, min_clearance, max_violation), summed in (step, slot)
-    order.
+    order. SolveError names the first failed lane in that order, if any.
     """
     w_ca = scene.objectives.w_collision
     pairs = scene.candidate_pairs()
+    if not lanes.solved.all():
+        k = int(np.argmin(lanes.solved))
+        a, b = (scene.primitive_refs()[p].name for p in pairs[lanes.slot[k]])
+        raise SolveError(f"inner solve failed for pair {a}:{b} at step {lanes.step[k] + 1}")
     d_sq, clearance = lanes.d_sq, lanes.clearance
     m2 = lanes.margin_sum * lanes.margin_sum
     value = 0.0
@@ -753,6 +745,8 @@ def limit_penalty(traj: Trajectory, scene: Scene):
 
 def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[int, int]]]):
     """The collision term over the candidate pairs listed in active[i] at each step i, all started cold."""
+    if len(active) != traj.num_steps:
+        raise ValueError(f"expected one list of active pairs per step ({traj.num_steps}), got {len(active)}")
     unknown = {pair for row in active for pair in row} - set(scene.candidate_pairs())
     if unknown:
         raise ValueError(f"not candidate pairs of the scene: {sorted(unknown)}")
@@ -1032,24 +1026,30 @@ class ValidationReport:
 def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     """Post-hoc audit: certified clearances for every pair, plus all limit values.
 
-    Every candidate pair at every step gets certified_distance's lower bound
-    on its squared distance, so each reported clearance is at or below the true
-    clearance (up to rounding), whether or not the pair's inner solve converged.
+    Every candidate pair at every step is a lane solved cold by _pack_lanes,
+    and certify_soft_minimizer's lower bound from its t* keeps each reported
+    clearance at or below the true one (up to rounding), converged or not.
     """
+    if traj.states.shape[1] != scene.dim_total:
+        raise ValueError(f"trajectory has {traj.states.shape[1]} columns, the scene {scene.dim_total}")
     refs = scene.primitive_refs()
+    pairs = scene.candidate_pairs()
     placement = place_states(scene, traj.states)
-    per_step = []
+    every_pair = np.ones((traj.num_steps, len(pairs)), dtype=bool)
+    lanes = _pack_lanes(scene, placement, every_pair, _cold_starts(scene, traj.num_steps))
+    anchors, vectors = placement.anchors, placement.vectors
+    per_step = [math.inf] * traj.num_steps
     violations = []
-    for i in range(traj.num_steps):
-        step_min = math.inf
-        for a, b in scene.candidate_pairs():
-            lower_sq, _ = certified_distance((placement.world(i, a), placement.world(i, b)), scene.inner)
-            clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
-            if clearance < step_min or math.isnan(clearance):
-                step_min = clearance
-            if not clearance >= 0.0:  # a NaN clearance is a violation too
-                violations.append(ClearanceRecord(i + 1, (refs[a].name, refs[b].name), clearance))
-        per_step.append(step_min)
+    for k, (i, c) in enumerate(zip(lanes.step.tolist(), lanes.slot.tolist())):
+        a, b = pairs[c]
+        la, lb = refs[a].num_params, refs[b].num_params
+        rows = np.concatenate([vectors[i, a, :la], -vectors[i, b, :lb]], axis=0)
+        lower_sq, _ = certify_soft_minimizer(anchors[i, a] - anchors[i, b], rows, lanes.t[k, : la + lb])
+        clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
+        if clearance < per_step[i] or math.isnan(clearance):
+            per_step[i] = clearance
+        if not clearance >= 0.0:  # a NaN clearance is a violation too
+            violations.append(ClearanceRecord(i + 1, (refs[a].name, refs[b].name), clearance))
     # The planner's stencil values over traj.h; each entry outside its bounds,
     # keyed by (step, column, order): step, then robot and coordinate, then order.
     entries = []

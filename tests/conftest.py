@@ -22,7 +22,8 @@ def solved_lanes(scene, states, warm=None):
     """The solved lanes of `states`, built as a line-search trial builds them.
 
     One placement, the scene's broad phase, and every kept lane solved from
-    its entry in `warm` (all cold if None).
+    its entry in `warm` (all cold if None). A failed lane is marked in
+    `solved`, not raised: the collision term raises for it.
     """
     placement = trajopt.place_states(scene, states)
     kept = trajopt.broad_phase_rows(scene, placement, scene.outer.broad_phase_slack)

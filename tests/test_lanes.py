@@ -2,9 +2,10 @@
 
 `solve_lanes` solves many pairs of one (La, Lb) shape at once and must give
 every lane exactly what `solve_inner` gives that pair: the same t*, d_sq,
-closest points, step count and convergence flag, to the bit. The planner's
-planner solves all (step, pair) lanes of a placed state with it when it
-builds them; the reference below is the per-lane loop over `solve_inner` and
+closest points, step count and convergence flag, to the bit. The planner
+solves all (step, pair) lanes of a placed state with it when it builds them,
+and `validate` certifies every (step, pair) on cold lanes, which must match
+the per-pair loop over `certified_distance` to the bit; the reference below is the per-lane loop over `solve_inner` and
 `pair_derivatives` that the planner ran before, and `_evaluate` must match it
 through a solve, including the derivative evaluations, which solve nothing
 and read the lanes of the accepted line-search trial: bitwise in everything
@@ -303,9 +304,86 @@ def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
     slack = scene.outer.broad_phase_slack
     with pytest.raises(SolveError) as ref:
         _reference_evaluate(scene, states, {}, False, slack)
+    # building the lanes keeps a failed lane, marked unsolved; the collision
+    # term, which every evaluation and collision_penalty run, raises for it
+    lanes = solved_lanes(scene, states)
+    assert not lanes.solved.all()
     with pytest.raises(SolveError) as got:
-        solved_lanes(scene, states)
+        trajopt._collision_penalty(scene, states, lanes, _Accumulator(len(states), states.shape[1], False))
     assert str(got.value) == str(ref.value)
+
+
+# -- validate on cold lanes against the per-pair certified_distance loop -------
+
+
+def _reference_validate(scene, states):
+    """validate's per-step minima and violations, as .hex() strings, from one
+    cold certified_distance call per (step, pair), in (step, pair) order."""
+    refs = scene.primitive_refs()
+    placement = place_states(scene, states)
+    per_step, violations = [], []
+    for i in range(len(states)):
+        step_min = math.inf
+        for a, b in scene.candidate_pairs():
+            lower_sq, _ = distance.certified_distance((placement.world(i, a), placement.world(i, b)), scene.inner)
+            clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
+            if clearance < step_min or math.isnan(clearance):
+                step_min = clearance
+            if not clearance >= 0.0:
+                violations.append((i + 1, (refs[a].name, refs[b].name), float(clearance).hex()))
+        per_step.append(float(step_min).hex())
+    return per_step, violations
+
+
+def _assert_validate_equals_reference(scene, states):
+    report = trajopt.validate(scene, trajopt.Trajectory(states, scene.h))
+    per_step, violations = _reference_validate(scene, states)
+    assert [float(c).hex() for c in report.min_clearance_per_step] == per_step
+    assert [(v.step, v.pair, float(v.clearance).hex()) for v in report.violations] == violations
+    return report
+
+
+@pytest.mark.parametrize("name", ["two_sphere_swap", "two_box_swap", "arm7_box"])
+def test_validate_equals_the_per_pair_certified_reference(name):
+    # the default and the solved trajectory, and the default one with a NaN
+    # row, whose pairs are all certified collisions
+    scene = load_scene(scene_text(name))
+    default = trajopt.default_trajectory(scene).states
+    solved, _ = solve(scene)
+    for states in (default, solved.states):
+        _assert_validate_equals_reference(scene, states)
+    states = default.copy()
+    states[7] = math.nan
+    report = _assert_validate_equals_reference(scene, states)
+    assert sum(v.step == 8 for v in report.violations) == len(scene.candidate_pairs())
+
+
+@pytest.mark.parametrize("name", ["two_box_swap", "arm7_box"])
+def test_validate_certifies_lanes_that_do_not_converge(name):
+    # after one Newton step some lanes have not converged: validate certifies
+    # them from where they stopped instead of raising
+    scene = dataclasses.replace(load_scene(scene_text(name)), inner=InnerSettings(max_iters=1))
+    states = trajopt.default_trajectory(scene).states
+    kept = np.ones((len(states), len(scene.candidate_pairs())), dtype=bool)
+    lanes = trajopt._pack_lanes(scene, place_states(scene, states), kept, trajopt._cold_starts(scene, len(states)))
+    assert not lanes.solved.all()
+    _assert_validate_equals_reference(scene, states)
+
+
+def test_validate_calls_no_solve_inner(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_inner called inside validate")
+
+    for module in (distance, trajopt):
+        monkeypatch.setattr(module, "solve_inner", refuse)
+    scene = load_scene(scene_text("two_box_swap"))
+    states = trajopt.default_trajectory(scene).states
+    assert trajopt.validate(scene, trajopt.Trajectory(states, scene.h)).violations  # the straight-line swap collides
+    placement = place_states(scene, states)
+    with pytest.raises(AssertionError, match="inside validate"):  # the per-pair path would have raised
+        distance.certified_distance((placement.world(0, 0), placement.world(0, 1)))
+    scene = load_scene(scene_text("arm7_box"))
+    trajopt.validate(scene, trajopt.default_trajectory(scene))
 
 
 # -- the adjoint lane gradient -------------------------------------------------

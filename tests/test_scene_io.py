@@ -192,6 +192,31 @@ def test_export_csv_times_and_parse_back():
         assert np.array_equal(back.states, states), name
 
 
+def test_a_robot_name_with_a_bare_carriage_return_round_trips():
+    # The csv writer quotes a line feed but not a bare carriage return, which
+    # the reader then takes for a line end; that robot's rows are quoted
+    # whole, and every other row is byte-identical to a plain name's export.
+    doc = json.loads(scene_text("two_box_swap"))
+    plain = scene_from_dict(doc)
+    doc["robots"][0]["name"] = "a\rb"
+    for target in doc["objectives"]["state_targets"]:
+        if target["robot"] == "a":
+            target["robot"] = "a\rb"
+    named = load_scene(json.dumps(doc))
+    assert named.robots[0].name == "a\rb"
+    rng = np.random.default_rng(51)
+    traj = Trajectory(rng.standard_normal((named.num_steps, named.dim_total)), named.h)
+    text = export_trajectory(traj, named, "csv")
+    back = parse_trajectory_csv(text, named)
+    assert np.array_equal(back.states, traj.states)
+    lines = text.split("\n")[:-1]  # every row ends in a line feed, and no cell holds one
+    plain_lines = export_trajectory(traj, plain, "csv").split("\n")[:-1]
+    # after the header, robot a's rows are the odd lines and robot b's the even ones
+    kept = [line for k, line in enumerate(plain_lines) if k % 2 == 0]
+    assert [line for line in lines if "a\rb" not in line] == kept
+    assert sum("a\rb" in line for line in lines) == named.num_steps
+
+
 def test_export_structured_with_clearances():
     scene = load_scene(scene_text("spheres_static"))
     traj = Trajectory(scene.initial_row()[None, :], scene.h)

@@ -512,6 +512,29 @@ def test_validate_is_sound_when_inner_solves_stop_early():
     assert report.worst_clearance < 0.0  # the straight-line swap collides
 
 
+@pytest.mark.parametrize("columns", [12, 15])
+def test_validate_rejects_a_trajectory_of_the_wrong_width(columns):
+    # arm7_box has 13 columns: 12 used to end in an IndexError from the
+    # kinematics, and 15 were certified with the extra columns ignored
+    scene = load_scene(scene_text("arm7_box"))
+    assert scene.dim_total == 13
+    states = np.zeros((scene.num_steps, columns))
+    states[:, : min(columns, 13)] = default_trajectory(scene).states[:, : min(columns, 13)]
+    with pytest.raises(ValueError, match=f"trajectory has {columns} columns, the scene 13"):
+        validate(scene, Trajectory(states, scene.h))
+
+
+@pytest.mark.parametrize("rows", [1, 51])
+def test_collision_penalty_takes_one_list_of_pairs_per_step(rows):
+    # a single row used to evaluate step 1 only (and return 0.0 on this
+    # scene), and 51 rows ended in an IndexError
+    scene = load_scene(scene_text("two_box_swap"))
+    traj = default_trajectory(scene)
+    assert traj.num_steps == 50
+    with pytest.raises(ValueError, match=f"one list of active pairs per step \\(50\\), got {rows}"):
+        collision_penalty(traj, scene, [list(scene.candidate_pairs())] * rows)
+
+
 def test_validate_empty_scene():
     scene = Scene(
         robots=[_sphere_robot("only")],
@@ -557,9 +580,9 @@ def test_solve_stops_with_line_search_failure(monkeypatch):
 def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch):
     # Every lane solve after the first derivative evaluation fails. arm7_box's
     # first trials are rejected on smoothness + goal + limit alone, so they
-    # place their states and raise nothing; solve raises SolveError at the
-    # first trial that passes its cheap test, the only one whose lanes are
-    # solved.
+    # place their states and raise nothing; solve raises SolveError in the
+    # value-only evaluation of the first trial that passes its cheap test,
+    # the only one whose lanes are solved.
     scene = load_scene(scene_text("arm7_box"))
     events = []
     evaluate, solve_lanes, place_states_ = trajopt._evaluate, trajopt.solve_lanes, trajopt.place_states
@@ -585,14 +608,15 @@ def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch)
     with pytest.raises(trajopt.SolveError, match="^inner solve failed"):
         solve(scene)
     # the start, its lanes and value, its derivative evaluation, then trials
-    # placed until one passes its cheap test and solves its lanes
+    # placed until one passes its cheap test, solves its lanes and raises in
+    # its value-only evaluation
     first = events.index("derivs")
     assert events[0] == "place" and events[first - 1 : first + 1] == ["value", "derivs"]
     assert set(events[1 : first - 1]) == {"lanes"}
     placed = events[first + 1 :]
     k = placed.index("lanes")
     assert placed[:k] == ["place"] * k and k >= 2  # >= 1 cheap rejection
-    assert set(placed[k:]) == {"lanes"}
+    assert set(placed[k:-1]) == {"lanes"} and placed[-1] == "value"
 
 
 def _nan_sphere_swap():
