@@ -17,17 +17,13 @@ import numpy as np
 from . import bench as bench_mod
 from . import gradcheck as gradcheck_mod
 from .distance import solve_inner
-from .scene_io import SceneError, export_trajectory, scene_from_dict
+from .scene_io import SceneError, export_trajectory, parse_scene_text, scene_from_dict
 from .trajopt import Scene, SolveError, place_states, solve, validate
 
 
 def _load_scene_file(path: str, overrides: list[str]) -> Scene:
     with open(path) as f:
-        text = f.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = parse_scene_text(f.read())
     for item in overrides:
         if "=" not in item:
             raise SceneError(f"override {item!r} must look like section.key=value")
@@ -63,9 +59,7 @@ def cmd_plan(args) -> int:
         return 2
 
     clearances = validate(scene, traj).min_clearance_per_step
-    text = export_trajectory(
-        traj, scene, "csv" if args.format == "csv" else "structured", clearances=clearances
-    )
+    text = export_trajectory(traj, scene, args.format, clearances=clearances)
     with open(args.output, "w") as f:
         f.write(text)
     run_report = {

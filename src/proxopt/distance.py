@@ -542,8 +542,11 @@ def certify_soft_minimizer(base: np.ndarray, rows: np.ndarray, t_soft) -> tuple[
         fixed[release] = False
 
     r = base + jt @ t
-    grad = 2.0 * (r @ jt)
     upper_sq = float(r @ r)
+    # A finite pair whose f(t) overflows (or whose polished t is not finite) is a collision too.
+    if not math.isfinite(upper_sq):
+        return 0.0, math.inf
+    grad = 2.0 * (r @ jt)
     lower_sq = upper_sq + float(np.minimum(grad, 0.0).sum()) - float(grad @ t)
     return max(0.0, lower_sq), upper_sq
 

@@ -301,11 +301,15 @@ _SCENE = _Object(_SECTIONS, _scene)
 
 def load_scene(text: str) -> Scene:
     """Parse and fully validate a scene document."""
+    return scene_from_dict(parse_scene_text(text))
+
+
+def parse_scene_text(text: str):
+    """The JSON value of a scene document, not yet validated; bad JSON is a SceneError naming its line."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return scene_from_dict(doc)
 
 
 def scene_from_dict(doc) -> Scene:

@@ -550,10 +550,10 @@ class _Accumulator:
     def need_derivs(self) -> bool:
         return self.grad is not None
 
-    def add_block(self, step: int, block: np.ndarray):
-        """Add the upper triangle of a (d, d) block to the diagonal block of one step."""
-        p, q = np.triu_indices(self.dim)
-        self.band[self.bandwidth + p - q, step * self.dim + q] += block[p, q]
+    def add_block(self, step: int, block: np.ndarray, offset: int = 0):
+        """Add the upper triangle of a square block to one step's diagonal block, at coordinate `offset`."""
+        p, q = np.triu_indices(len(block))
+        self.band[self.bandwidth + p - q, step * self.dim + offset + q] += block[p, q]
 
 
 def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
@@ -579,7 +579,7 @@ def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
     return value
 
 
-def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -> float:
+def _goal_terms(scene: Scene, states, acc: _Accumulator) -> float:
     value = 0.0
     offsets = scene.robot_offsets
     for tgt in scene.objectives.state_targets:
@@ -596,16 +596,14 @@ def _goal_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -
         off = offsets[tgt.robot]
         i = tgt.step - 1
         state = scene.robot_state(states[i], tgt.robot)
-        frames = placement.frames[tgt.robot].step(i)
+        frames = link_frames(robot, state)
         p = frames.origins[tgt.link] + frames.rotations[tgt.link] @ tgt.local
         e = p - tgt.target
         value += tgt.weight * float(e @ e)
         if acc.need_derivs:
             jac = fk_jacobian(robot, state, tgt.link, tgt.local, frames)
             acc.grad[i, off : off + robot.dim] += 2.0 * tgt.weight * (e @ jac)
-            # the upper triangle of the robot's block, as add_block would add it
-            p, q = np.triu_indices(robot.dim)
-            acc.band[acc.bandwidth + p - q, i * acc.dim + off + q] += (2.0 * tgt.weight * (jac.T @ jac))[p, q]
+            acc.add_block(i, 2.0 * tgt.weight * (jac.T @ jac), off)
     return value
 
 
@@ -733,7 +731,7 @@ def smoothness_term(traj: Trajectory, w_smooth: float):
 
 def goal_terms(traj: Trajectory, scene: Scene):
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value = _goal_terms(scene, traj.states, place_states(scene, traj.states), acc)
+    value = _goal_terms(scene, traj.states, acc)
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
@@ -757,14 +755,14 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
-def _cheap_terms(scene: Scene, states, placement: Placement, acc: _Accumulator) -> tuple[float, float]:
+def _cheap_terms(scene: Scene, states, acc: _Accumulator) -> tuple[float, float]:
     """Smoothness + goal + limit, added in that order: (partial value, worst raw limit violation).
 
     Every term is a non-negative penalty, and adding a non-negative number
     never lowers a float sum, so the objective is at least this partial sum.
     """
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, placement, acc)
+    value += _goal_terms(scene, states, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     return value + lim_value, lim_worst
 
@@ -782,7 +780,7 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Opt
     collision term is then added to it.
     """
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
-    value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, lanes.placement, acc)
+    value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, acc)
     col_value, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
     value += col_value
     return value, acc, min_clear, max(max_viol, lim_worst)
@@ -791,18 +789,19 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Opt
 def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: np.ndarray):
     """The value of a line-search trial at `states` and its solved lanes (None if its cheap terms exceed `bound`).
 
-    Returns (value, lanes). The trial is placed once. If smoothness + goal +
-    limit is already above the Armijo `bound`, the full value is too, so the
-    trial is rejected with its partial sum and lanes None: no broad phase, no
-    lanes packed or solved. (A NaN partial sum is not above the bound and
-    goes on to the lanes.) Otherwise the lanes are culled and solved from the
-    same placement and _evaluate adds the collision term to the partial sum.
-    With `bound` inf, the trial cannot be rejected.
+    Returns (value, lanes). Smoothness + goal + limit read only the states.
+    If their sum is already above the Armijo `bound`, the full value is too,
+    so the trial is rejected with its partial sum and lanes None: it is not
+    placed, and no lanes are culled, packed or solved. (A NaN partial sum is
+    not above the bound and goes on to the lanes.) Otherwise the trial is
+    placed once, its lanes are culled and solved from that placement, and
+    _evaluate adds the collision term to the partial sum. With `bound` inf,
+    the trial cannot be rejected.
     """
-    placement = place_states(scene, states)
-    cheap = _cheap_terms(scene, states, placement, _Accumulator(len(states), states.shape[1], False))
+    cheap = _cheap_terms(scene, states, _Accumulator(len(states), states.shape[1], False))
     if cheap[0] > bound:
         return cheap[0], None
+    placement = place_states(scene, states)
     lanes = _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
     return _evaluate(scene, states, lanes, False, cheap)[0], lanes
 
@@ -823,7 +822,7 @@ class IterationStats:
     min_clearance: float
     max_violation: float
     active_pairs: int
-    trials: int  # line-search trials placed, over all damping retries
+    trials: int  # line-search trials, over all damping retries
     cheap_rejects: int  # of those, rejected on smoothness + goal + limit alone
 
 

@@ -272,3 +272,11 @@ def test_certified_distance_of_a_non_finite_pair_is_a_collision(dim_a):
             assert certified_distance((WorldPrimitive(np.zeros(3), spoiled, 0.1), other)) == (0.0, math.inf)
     sphere = WorldPrimitive(np.array([np.nan, 0.0, 0.0]), np.zeros((0, 3)), 0.1)
     assert certified_distance((sphere, WorldPrimitive(np.zeros(3), np.zeros((0, 3)), 0.1))) == (0.0, math.inf)
+
+
+def test_certified_distance_of_an_overflowing_pair_is_a_collision():
+    # every coordinate is finite, but the squared distance overflows
+    box = WorldPrimitive(np.array([1e200, 0.0, 0.0]), np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]), 0.1)
+    sphere = WorldPrimitive(np.zeros(3), np.zeros((0, 3)), 0.1)
+    assert certified_distance((box, sphere)) == (0.0, math.inf)
+    assert certified_distance((sphere, box)) == (0.0, math.inf)

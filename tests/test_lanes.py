@@ -191,7 +191,7 @@ def _reference_evaluate(scene, states, warm, need_derivs, slack):
     kept = broad_phase_rows(scene, placement, slack)
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, placement, acc)
+    value += _goal_terms(scene, states, acc)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     value += lim_value
     col = _reference_collision_penalty(scene, states, placement, kept, warm, acc)

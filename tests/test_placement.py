@@ -330,6 +330,22 @@ def test_batched_frames_and_placement_match_per_step(name):
                 assert np.abs(single.vectors - vectors).max(initial=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["arm7_box", "branching"])
+def test_single_state_frames_are_bitwise_the_batched_row(name):
+    # an end-effector target takes its frames from link_frames(robot,
+    # RobotState) on its own step, and a placed trial from the batched call;
+    # the two agree to the bit, so the goal term reads what a placement holds
+    num_steps = 200
+    scene = SCENES[name](num_steps)
+    robot = scene.robots[0]
+    states = _random_states(scene, 23, num_steps)
+    batched = link_frames(robot, states[:, : robot.dim])
+    for i, row in enumerate(states):
+        single = link_frames(robot, scene.robot_state(row, 0))
+        for batched_part, single_part in zip(batched, single):
+            assert np.array_equal(single_part, batched_part[i])
+
+
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_batched_broad_phase_keeps_the_same_pairs(name):
     num_steps = 60
@@ -441,7 +457,7 @@ def test_goal_band_is_bitwise_the_padded_step_block(num_steps):
     acc, _, _ = _seeded_accumulator(num_steps, states.shape[1], 17)
     ref, _, _ = _seeded_accumulator(num_steps, states.shape[1], 17)
     seeded = acc.band.copy()
-    trajopt._goal_terms(scene, states, placement, acc)
+    trajopt._goal_terms(scene, states, acc)
     for tgt in targets:
         robot, off, i = scene.robots[tgt.robot], scene.robot_offsets[tgt.robot], tgt.step - 1
         frames = placement.frames[tgt.robot].step(i)

@@ -242,41 +242,44 @@ def test_broad_phase_is_conservative():
 
 
 def test_evaluate_places_each_step_once(monkeypatch):
-    # the broad phase, the collision term and the end-effector target share one
-    # placement of all steps, made with one link_frames call per robot, and the
-    # scene's pair lists are built once
+    # the broad phase and the collision term share one placement of all steps,
+    # made with one batched link_frames call per robot; each end-effector
+    # target takes its frames from one single-row call on its own step, so
+    # the cheap terms read only the states; the scene's pair lists are built
+    # once
     scene = load_scene(scene_text("arm7_box"))
     calls = []
     original = trajopt.link_frames
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(robot, state):
+        calls.append("row" if isinstance(state, RobotState) else len(state))
+        return original(robot, state)
 
     monkeypatch.setattr(trajopt, "link_frames", counted)
     states = default_trajectory(scene).states
     lanes = solved_lanes(scene, states)
     _evaluate(scene, states, lanes, True)
     assert len(lanes.step)  # the collision term has pairs to solve
-    assert len(calls) == len(scene.robots) == 1
+    assert len(scene.robots) == len(scene.objectives.ee_targets) == 1
+    assert calls == [len(states), "row"]
     assert scene.primitive_refs() is scene.primitive_refs()
     assert scene.candidate_pairs() is scene.candidate_pairs()
 
 
 @pytest.mark.parametrize("name,rejects", [("arm7_box", True), ("two_box_swap", False), ("two_sphere_swap", False)])
 def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, rejects, monkeypatch):
-    # Over a whole solve, link_frames runs once per robot per placed state (the
-    # start, a trial that cannot be rejected, and every line-search trial).
-    # The broad phase runs once per placed state that passes its cheap test;
-    # that state's lanes are then solved, one solve_lanes call per (La, Lb)
-    # group it keeps, and it has one value-only evaluation. The cheap terms
-    # run once per placed state and once per derivative evaluation. A
-    # derivative evaluation solves no lane: it reads those of the trial that
-    # placed its states. So does the report: nothing is evaluated after the
-    # last iteration, and the report's objective and clearance are those of
-    # the last evaluation of the returned states. On arm7_box, smoothness +
-    # goal + limit alone reject some trials; on the swap scenes the collision
-    # term decides every trial.
+    # Over a whole solve, the cheap terms run once per trial (the start is a
+    # trial that cannot be rejected) and once per derivative evaluation; they
+    # read only the states. A trial is placed, with one batched link_frames
+    # call per robot, only once it passes its cheap test. The broad phase then
+    # runs once on that placement; the trial's lanes are solved, one
+    # solve_lanes call per (La, Lb) group it keeps, and it has one value-only
+    # evaluation. A derivative evaluation solves no lane: it reads those of
+    # the trial that placed its states. So does the report: nothing is
+    # evaluated after the last iteration, and the report's objective and
+    # clearance are those of the last evaluation of the returned states. On
+    # arm7_box, smoothness + goal + limit alone reject some trials; on the
+    # swap scenes the collision term decides every trial.
     scene = load_scene(scene_text(name))
     calls = {"link_frames": 0, "broad_phase_rows": 0, "_limit_penalty": 0, "solve_lanes": 0, "value_only": 0}
     groups = []  # the (La, Lb) groups each built set of lanes keeps
@@ -286,7 +289,8 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
         original = getattr(trajopt, attr)
 
         def counted(*args, _attr=attr, _original=original, **kwargs):
-            calls[_attr] += 1
+            # the end-effector targets' single-row frames are not placements
+            calls[_attr] += not (_attr == "link_frames" and isinstance(args[1], RobotState))
             assert not (_attr == "solve_lanes" and in_derivs[0]), "a derivative evaluation solved lanes"
             return _original(*args, **kwargs)
 
@@ -314,7 +318,7 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
     cheap_rejects = sum(stats.cheap_rejects for stats in report.iterations)
     last = next(ev for ev in reversed(evaluated) if np.array_equal(ev[0], traj.states))
     assert (report.final_objective, report.min_clearance) == last[1:]
-    assert calls["link_frames"] == len(scene.robots) * (1 + trials)
+    assert calls["link_frames"] == len(scene.robots) * (1 + trials - cheap_rejects)
     assert calls["broad_phase_rows"] == len(groups) == calls["value_only"] == 1 + trials - cheap_rejects
     assert calls["solve_lanes"] == sum(groups) > 0
     assert calls["_limit_penalty"] == 1 + trials + report.num_iterations
@@ -580,12 +584,13 @@ def test_solve_stops_with_line_search_failure(monkeypatch):
 def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch):
     # Every lane solve after the first derivative evaluation fails. arm7_box's
     # first trials are rejected on smoothness + goal + limit alone, so they
-    # place their states and raise nothing; solve raises SolveError in the
+    # are not placed and raise nothing; solve raises SolveError in the
     # value-only evaluation of the first trial that passes its cheap test,
-    # the only one whose lanes are solved.
+    # the only one that is placed and whose lanes are solved.
     scene = load_scene(scene_text("arm7_box"))
     events = []
     evaluate, solve_lanes, place_states_ = trajopt._evaluate, trajopt.solve_lanes, trajopt.place_states
+    cheap_terms = trajopt._cheap_terms
 
     def traced_evaluate(scene, states, lanes, need_derivs, *rest):
         events.append("derivs" if need_derivs else "value")
@@ -602,21 +607,50 @@ def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch)
         events.append("place")
         return place_states_(*args)
 
+    def traced_cheap(*args):
+        events.append("cheap")
+        return cheap_terms(*args)
+
+    monkeypatch.setattr(trajopt, "_cheap_terms", traced_cheap)
     monkeypatch.setattr(trajopt, "_evaluate", traced_evaluate)
     monkeypatch.setattr(trajopt, "solve_lanes", failing_lanes)
     monkeypatch.setattr(trajopt, "place_states", traced_place)
     with pytest.raises(trajopt.SolveError, match="^inner solve failed"):
         solve(scene)
-    # the start, its lanes and value, its derivative evaluation, then trials
-    # placed until one passes its cheap test, solves its lanes and raises in
-    # its value-only evaluation
+    # the start's cheap terms, placement, lanes and value, its derivative
+    # evaluation (which sums the cheap terms again), then trials whose cheap
+    # terms reject them before any placement, until one passes, is placed,
+    # solves its lanes and raises in its value-only evaluation
     first = events.index("derivs")
-    assert events[0] == "place" and events[first - 1 : first + 1] == ["value", "derivs"]
-    assert set(events[1 : first - 1]) == {"lanes"}
-    placed = events[first + 1 :]
-    k = placed.index("lanes")
-    assert placed[:k] == ["place"] * k and k >= 2  # >= 1 cheap rejection
-    assert set(placed[k:-1]) == {"lanes"} and placed[-1] == "value"
+    assert events[:2] == ["cheap", "place"] and events[first - 1 : first + 2] == ["value", "derivs", "cheap"]
+    assert set(events[2 : first - 1]) == {"lanes"}
+    trials = events[first + 2 :]
+    k = trials.index("place")
+    assert trials[:k] == ["cheap"] * k and k >= 2  # >= 1 cheap rejection
+    assert set(trials[k + 1 : -1]) == {"lanes"} and trials[-1] == "value"
+
+
+def test_the_cheap_terms_place_nothing(monkeypatch):
+    # smoothness, goal and limit read only the states: a trial rejected on
+    # them is never placed, nor are the states of the public goal_terms; a
+    # trial that passes is placed once
+    scene = load_scene(scene_text("arm7_box"))
+    placed = []
+    place_states_ = trajopt.place_states
+
+    def counted(*args):
+        placed.append(1)
+        return place_states_(*args)
+
+    monkeypatch.setattr(trajopt, "place_states", counted)
+    traj = default_trajectory(scene)
+    slack, cold = scene.outer.broad_phase_slack, trajopt._cold_starts(scene, traj.num_steps)
+    value, lanes = trajopt._line_search_trial(scene, traj.states, 0.0, slack, cold)
+    assert lanes is None and value > 0.0  # the end-effector target is missed
+    goal_value, _, _ = goal_terms(traj, scene)
+    assert goal_value > 0.0 and placed == []
+    _, lanes = trajopt._line_search_trial(scene, traj.states, math.inf, slack, cold)
+    assert lanes is not None and placed == [1]
 
 
 def _nan_sphere_swap():
