@@ -359,6 +359,33 @@ def solve_lanes(
     return LaneResults(d_sq, t_star, closest_a, closest_b, steps, converged)
 
 
+def lane_objective(
+    anchor_a: np.ndarray,
+    vectors_a: np.ndarray,
+    anchor_b: np.ndarray,
+    vectors_b: np.ndarray,
+    t: np.ndarray,
+    settings: InnerSettings = DEFAULT_INNER,
+) -> np.ndarray:
+    """The soft objective U (eval_U's value) of n lanes of one shape at t, in one array pass, shape (n,).
+
+    The lanes are solve_lanes' (anchors (n, 3), vectors (n, La, 3) and
+    (n, Lb, 3)) and t is (n, La + Lb). The difference of the two points is
+    formed as solve_lanes forms it from its closest points; the sums are
+    numpy sums. In exact arithmetic no Newton iterate raises U and its last
+    two terms are >= 0, so a lane solved from t ends with
+    d_sq <= U(t*) <= U(t); with rounding, only up to a few ulps of the
+    coordinates.
+    """
+    la = vectors_a.shape[1]
+    d = (anchor_a + np.matmul(t[:, None, :la], vectors_a)[:, 0]) - (
+        anchor_b + np.matmul(t[:, None, la:], vectors_b)[:, 0]
+    )
+    tc = t - 0.5
+    e = np.maximum(t - 1.0, 0.0) + np.minimum(t, 0.0)
+    return (d * d).sum(axis=1) + (settings.w_reg * (tc * tc) + settings.w_con * (e * e)).sum(axis=1)
+
+
 def _newton_lanes(rows, base, t_out, steps, converged, settings: InnerSettings):
     """solve_inner's Newton loop over lanes; writes t_out, steps and converged in place.
 

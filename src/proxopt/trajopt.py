@@ -18,6 +18,13 @@ counts as one) hands its solved lanes to the derivative evaluation and the
 report. A lane whose penalty is active gets its gradient from one small
 adjoint solve, taken back through its robot's chain as a wrench
 (`_lane_gradient`). `validate` certifies every (step, pair) on cold lanes.
+
+A line-search trial is rejected as soon as a lower bound on its value fails
+the Armijo test: first its smoothness, goal and limit terms, before it is
+placed, then those plus a collision floor, before its lanes are solved. The
+floor takes each kept lane's inner objective U at its warm start, which
+bounds the lane's d_sq from above (`_collision_floor`), with a relative
+slack of FLOOR_SLACK on U and on the sum against rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certify_soft_minimizer, solve_lanes
+from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certify_soft_minimizer, lane_objective, solve_lanes
 # Not called here: perfbench traces its grid-oracle and scalar inner-solve layers through these names.
 from .distance import brute_force_distance, solve_inner  # noqa: F401
 from .kinematics import (
@@ -111,6 +118,8 @@ LS_SUFFICIENT_DECREASE = 1e-4
 DAMPING_FACTOR = 10.0
 DAMPING_MIN = 1e-10
 DAMPING_MAX = 1e12
+# relative slack of the collision floor (_collision_floor) against rounding
+FLOOR_SLACK = 1e-9
 
 
 @dataclass
@@ -403,35 +412,72 @@ def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
     return np.full((num_steps, len(scene.candidate_pairs()), 6), 0.5)
 
 
+def _lane_groups(scene: Scene, placement: Placement, step: np.ndarray, slot: np.ndarray):
+    """The lanes (step[k], slot[k]) by (La, Lb) shape, read straight from the placement arrays.
+
+    Yields (lanes, la, lb, anchor_a, vectors_a, anchor_b, vectors_b) for each
+    non-empty group: `lanes` indexes step and slot, and the four arrays are
+    solve_lanes' first four arguments for those lanes.
+    """
+    group_of, shapes = scene._lane_index
+    _, first, second = scene._bounds_index
+    gid = group_of[slot]
+    for g, (la, lb) in enumerate(shapes):
+        lanes = np.flatnonzero(gid == g)
+        if not len(lanes):
+            continue
+        i, a, b = step[lanes], first[slot[lanes]], second[slot[lanes]]
+        yield (
+            lanes, la, lb,
+            placement.anchors[i, a], placement.vectors[i, a, :la],
+            placement.anchors[i, b], placement.vectors[i, b, :lb],
+        )
+
+
 def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> _Lanes:
     """Solve every kept lane, read straight from the placement arrays and started from its entry in `warm`.
 
     The lanes of one (La, Lb) shape are solved in one solve_lanes call. A
     failed lane is marked in `solved`, and _collision_penalty raises for it.
     """
-    group_of, shapes = scene._lane_index
     margins, first, second = scene._bounds_index
     step, slot = np.nonzero(kept)
-    a, b = first[slot], second[slot]
-    gid = group_of[slot]
     n = len(step)
     t = warm[step, slot]
     d_sq, closest_a, closest_b = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
     ok = np.empty(n, dtype=bool)
-    for g, (la, lb) in enumerate(shapes):
-        lanes = np.flatnonzero(gid == g)
-        if not len(lanes):
-            continue
-        i, ga, gb = step[lanes], a[lanes], b[lanes]
-        res = solve_lanes(
-            placement.anchors[i, ga], placement.vectors[i, ga, :la],
-            placement.anchors[i, gb], placement.vectors[i, gb, :lb],
-            t[lanes, : la + lb], scene.inner,
-        )
+    for lanes, la, lb, *pair in _lane_groups(scene, placement, step, slot):
+        res = solve_lanes(*pair, t[lanes, : la + lb], scene.inner)
         t[lanes, : la + lb] = res.t_star
         d_sq[lanes], closest_a[lanes], closest_b[lanes] = res.d_sq, res.closest_a, res.closest_b
         ok[lanes] = res.converged & np.isfinite(res.d_sq)
-    return _Lanes(placement, step, slot, margins[a] + margins[b], t, d_sq, closest_a, closest_b, ok)
+    margin_sum = margins[first[slot]] + margins[second[slot]]
+    return _Lanes(placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b, ok)
+
+
+def _collision_floor(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> float:
+    """A lower bound on the collision term of the kept lanes, from their starts in `warm`, with no Newton step.
+
+    A lane's inner solve starts at its warm entry t0 and minimizes
+    U(t) = d²(t) + w_reg·‖t − ½‖² + w_con·barrier(t), whose last two terms
+    are >= 0, so its d_sq <= U(t*) <= U(t0) and its penalty is at least
+    w_collision·max(0, m² − U(t0))². U(t0) takes one lane_objective pass
+    per (La, Lb) group. It and the kernel's d_sq round differently: on
+    sphere lanes the two are equal in exact arithmetic, and d_sq can come
+    out an ulp above U(t0). So U(t0) is scaled up by 1 + FLOOR_SLACK, which
+    covers the rounding where U(t0) is near m², and the sum down by
+    1 − FLOOR_SLACK, which covers it where U(t0) << m². A NaN U(t0) makes
+    the floor NaN, which rejects nothing: the lane's solve reports it.
+    """
+    margins, first, second = scene._bounds_index
+    step, slot = np.nonzero(kept)
+    start = warm[step, slot]
+    u = np.empty(len(step))
+    for lanes, la, lb, *pair in _lane_groups(scene, placement, step, slot):
+        u[lanes] = lane_objective(*pair, start[lanes, : la + lb], scene.inner)
+    m = margins[first[slot]] + margins[second[slot]]
+    gap = np.maximum(m * m - (1.0 + FLOOR_SLACK) * u, 0.0)
+    return (1.0 - FLOOR_SLACK) * scene.objectives.w_collision * float((gap * gap).sum())
 
 
 def _lane_gradient(
@@ -526,6 +572,8 @@ def _add_wrench(scene: Scene, placement: Placement, x_row, i: int, p: int, force
 
 def broad_phase(scene: Scene, traj: Trajectory, step: int, slack: float) -> list[tuple[int, int]]:
     """Pairs whose bounding spheres are within `slack` of touching at a 1-based step."""
+    if not 1 <= step <= traj.num_steps:
+        raise ValueError(f"step {step} outside 1..{traj.num_steps}")
     kept = broad_phase_rows(scene, place_states(scene, traj.states[step - 1 : step]), slack)[0]
     return [scene.candidate_pairs()[c] for c in np.flatnonzero(kept).tolist()]
 
@@ -787,23 +835,31 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Opt
 
 
 def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: np.ndarray):
-    """The value of a line-search trial at `states` and its solved lanes (None if its cheap terms exceed `bound`).
+    """The value of a line-search trial at `states` and its solved lanes, or why it was rejected before them.
 
-    Returns (value, lanes). Smoothness + goal + limit read only the states.
-    If their sum is already above the Armijo `bound`, the full value is too,
-    so the trial is rejected with its partial sum and lanes None: it is not
-    placed, and no lanes are culled, packed or solved. (A NaN partial sum is
-    not above the bound and goes on to the lanes.) Otherwise the trial is
-    placed once, its lanes are culled and solved from that placement, and
-    _evaluate adds the collision term to the partial sum. With `bound` inf,
-    the trial cannot be rejected.
+    Returns (value, lanes, rejected). Smoothness + goal + limit read only the
+    states. If their sum is already above the Armijo `bound`, the full value
+    is too, so the trial is rejected with its partial sum, lanes None and
+    `rejected` "cheap": it is not placed, and no lanes are culled, packed or
+    solved. Otherwise the trial is placed once and its lanes are culled, and
+    the partial sum plus the collision floor of the kept lanes (a lower bound
+    on the collision term from their warm starts, _collision_floor) is tested
+    the same way: above `bound`, the trial is rejected with that sum, lanes
+    None and `rejected` "bound", before any lane is solved. (A NaN sum is not
+    above the bound and goes on.) Otherwise its lanes are solved from that
+    placement, _evaluate adds the collision term to the partial sum, and
+    `rejected` is None. With `bound` inf, the trial cannot be rejected.
     """
     cheap = _cheap_terms(scene, states, _Accumulator(len(states), states.shape[1], False))
     if cheap[0] > bound:
-        return cheap[0], None
+        return cheap[0], None, "cheap"
     placement = place_states(scene, states)
-    lanes = _pack_lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
-    return _evaluate(scene, states, lanes, False, cheap)[0], lanes
+    kept = broad_phase_rows(scene, placement, slack)
+    lower = cheap[0] + _collision_floor(scene, placement, kept, warm)
+    if lower > bound:
+        return lower, None, "bound"
+    lanes = _pack_lanes(scene, placement, kept, warm)
+    return _evaluate(scene, states, lanes, False, cheap)[0], lanes, None
 
 
 def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
@@ -824,6 +880,7 @@ class IterationStats:
     active_pairs: int
     trials: int  # line-search trials, over all damping retries
     cheap_rejects: int  # of those, rejected on smoothness + goal + limit alone
+    bound_rejects: int  # of those, rejected on that sum plus the collision floor, before their lane solves
 
 
 @dataclass
@@ -882,9 +939,15 @@ def solve(
     exact and accepted steps never increase it. Damping follows a trust-region
     policy driven by the accepted step length. A line-search trial whose
     smoothness + goal + limit terms alone exceed the Armijo bound is rejected
-    before its broad phase and lane solves (_line_search_trial): the collision
-    term is non-negative, so it could not pass, and a rejected trial's t* is
-    never kept. Such a trial cannot raise SolveError. The start is evaluated
+    before it is placed (_line_search_trial): the collision term is
+    non-negative, so it could not pass. A trial whose partial sum plus its
+    collision floor exceeds the bound is rejected after its broad phase and
+    before its lane solves: the floor, w_collision·max(0, m² − U(t0))² per
+    kept lane with U(t0) the lane's inner objective at its warm start, is at
+    most the collision term, because the inner solve never raises U. It keeps
+    a relative slack of FLOOR_SLACK on U(t0) and on the sum against rounding.
+    A rejected trial's t* is never kept, and it cannot raise SolveError.
+    IterationStats counts both kinds of reject. The start is evaluated
     as a trial that cannot be rejected, and each placed state's lanes are
     solved once, by its trial: the derivative evaluation at accepted states
     and the report read that trial's solutions.
@@ -903,7 +966,7 @@ def solve(
     converged = False
     # `value` and `lanes` are those of `states`, from the trial that placed
     # them; so each accepted state is placed and its lanes solved once.
-    value, lanes = _line_search_trial(scene, states, math.inf, s.broad_phase_slack, warm)
+    value, lanes, _ = _line_search_trial(scene, states, math.inf, s.broad_phase_slack, warm)
     lanes.keep_starts(warm)
 
     for _ in range(s.max_outer_iters):
@@ -913,14 +976,14 @@ def solve(
         num_active = len(lanes.step)
 
         if grad_inf <= s.grad_tol:
-            history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, 0, 0))
+            history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, 0, 0, 0))
             converged, reason = True, "grad_tol"
             break
 
         # scipy rejects a non-finite system, and no damping makes it finite
         finite = bool(np.isfinite(grad_flat).all() and np.isfinite(acc.band).all())
         accepted = False
-        trials = cheap_rejects = 0
+        trials = cheap_rejects = bound_rejects = 0
         while not accepted:
             # A failed factorization, a non-finite system or a non-descent
             # direction raises the damping; so does a failed line search.
@@ -938,9 +1001,13 @@ def solve(
                 for _ in range(LS_MAX_HALVINGS):
                     cand = states + alpha * direction.reshape(states.shape)
                     bound = value + LS_SUFFICIENT_DECREASE * alpha * slope
-                    cand_value, cand_lanes = _line_search_trial(scene, cand, bound, s.broad_phase_slack, warm)
+                    cand_value, cand_lanes, rejected = _line_search_trial(
+                        scene, cand, bound, s.broad_phase_slack, warm
+                    )
                     trials += 1
-                    cheap_rejects += cand_lanes is None  # then cand_value > bound
+                    # a rejected trial's cand_value is a lower bound on its value, above `bound`
+                    cheap_rejects += rejected == "cheap"
+                    bound_rejects += rejected == "bound"
                     if cand_value <= bound:
                         states, lanes = cand, cand_lanes
                         lanes.keep_starts(warm)
@@ -951,12 +1018,17 @@ def solve(
                 lam *= DAMPING_FACTOR
                 if lam > DAMPING_MAX:
                     history.append(
-                        IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, trials, cheap_rejects)
+                        IterationStats(
+                            value, grad_inf, lam, 0.0, min_clear, max_viol, num_active,
+                            trials, cheap_rejects, bound_rejects,
+                        )
                     )
                     return Trajectory(states, scene.h), SolveReport(history, False, failure, value, min_clear)
 
         history.append(
-            IterationStats(value, grad_inf, lam, alpha, min_clear, max_viol, num_active, trials, cheap_rejects)
+            IterationStats(
+                value, grad_inf, lam, alpha, min_clear, max_viol, num_active, trials, cheap_rejects, bound_rejects
+            )
         )
         # Trust-region style damping update: only relax when the full step was
         # good; a step accepted after heavy backtracking means the quadratic

@@ -111,7 +111,7 @@ def test_plan_report_exports_iteration_stats_as_strict_json(tmp_path):
     for row, stats in zip(report["iterations"], solved.iterations):
         assert set(row) == {
             "objective", "grad_inf", "damping", "alpha", "min_clearance", "max_violation", "active_pairs",
-            "trials", "cheap_rejects",
+            "trials", "cheap_rejects", "bound_rejects",
         }
         for name, value in row.items():
             expected = getattr(stats, name)

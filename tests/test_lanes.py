@@ -16,9 +16,10 @@ entry for entry; its derivative evaluations solve the lanes again, warm from
 the kept t*. The gradient and band
 come from the adjoint `_lane_gradient`, which is mathematically equal to the
 reference's `dt/dx` chain but rounds differently, so they must agree to
-1e-10 of their largest entry. A line-search trial whose cheap terms already
-fail the Armijo bound skips `_evaluate`; its full reference value must fail
-the bound too.
+1e-10 of their largest entry. A line-search trial whose cheap terms, or
+cheap terms plus collision floor, already fail the Armijo bound skips
+`_evaluate`; its full reference value must fail the bound too, and on every
+trial that reaches its lanes the floor is at most the collision term.
 """
 
 import dataclasses
@@ -124,6 +125,21 @@ def test_solve_lanes_handles_empty_and_single_lanes():
             np.zeros((0, dim)),
         )
         assert res.t_star.shape == (0, dim) and res.d_sq.shape == (0,)
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_lane_objective_is_eval_U_and_bounds_the_solved_d_sq(kinds):
+    # at starts inside and outside the unit box, U matches eval_U's value to
+    # rounding, and no lane solved from a start ends with d_sq above U there
+    rng = np.random.default_rng([11, KIND_PAIRS.index(kinds)])
+    world = [place_pair(*random_pair(kinds, rng)) for _ in range(60)]
+    dim = world[0][0].num_params + world[0][1].num_params
+    starts = [rng.uniform(-1.0, 2.0, dim) for _ in world]
+    args = _lanes(world, starts)
+    u = distance.lane_objective(*args)
+    ref = np.array([distance.eval_U(pair, start)[0] for pair, start in zip(world, starts)])
+    assert np.allclose(u, ref, rtol=1e-12, atol=0.0)
+    assert (solve_lanes(*args).d_sq <= u * (1.0 + 1e-9)).all()
 
 
 def test_solve_lanes_reports_non_finite_lanes_as_failed():
@@ -234,9 +250,9 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     # solver's store must hold exactly the map's starts, and 0.5 elsewhere,
     # so a rejected trial's t* never reaches it. A derivative evaluation's
     # reference solves its lanes again, warm from the kept t*, and must give
-    # the trial's solutions. A trial rejected on its cheap terms never
-    # reaches _evaluate; its full reference value must fail the same Armijo
-    # bound.
+    # the trial's solutions. A trial rejected on its cheap terms or on its
+    # collision floor never reaches _evaluate; its full reference value must
+    # fail the same Armijo bound.
     scene = load_scene(scene_text(name))
     scene.outer.max_outer_iters = iters
     slack = scene.outer.broad_phase_slack
@@ -245,19 +261,20 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     stores = []
     warm = {}
     last_trial = [None, None]  # the latest value-only evaluation's lanes and t*
-    seen = {"derivs": 0, "handed": 0, "trials": 0, "cheap_rejects": 0}
+    seen = {"derivs": 0, "handed": 0, "trials": 0, "cheap": 0, "bound": 0}
 
     def cold(scene, num_steps):
         stores.append(original_cold(scene, num_steps))
         return stores[-1]
 
     def trial(scene, states, bound, slack, warm_store):
-        value, lanes = original_trial(scene, states, bound, slack, warm_store)
+        value, lanes, rejected = original_trial(scene, states, bound, slack, warm_store)
+        assert (lanes is None) == (rejected is not None)
         if lanes is None:
             assert value > bound
             assert not _reference_evaluate(scene, states, dict(warm), False, slack)[0] <= bound
-            seen["cheap_rejects"] += 1
-        return value, lanes
+            seen[rejected] += 1
+        return value, lanes, rejected
 
     def checked(scene, states, lanes, need_derivs, cheap=None):
         handed = lanes is last_trial[0]
@@ -290,11 +307,76 @@ def test_evaluate_equals_per_lane_reference_through_a_solve(name, iters, monkeyp
     assert report.num_iterations == iters or report.converged
     # every derivative evaluation reads the accepted trial's lanes
     assert seen["derivs"] >= 2 and seen["handed"] == seen["derivs"]
-    # some trials were rejected, on their cheap terms or after their lanes
-    # (the start is value-only too, and no line-search trial)
+    # some trials were rejected, on their cheap terms, on their collision
+    # floor or after their lanes (the start is value-only too, and no
+    # line-search trial)
     accepted = sum(stats.alpha > 0.0 for stats in report.iterations)
-    assert seen["trials"] - 1 - accepted + seen["cheap_rejects"] > 0
-    assert seen["cheap_rejects"] == sum(stats.cheap_rejects for stats in report.iterations)
+    assert seen["trials"] - 1 - accepted + seen["cheap"] + seen["bound"] > 0
+    assert seen["cheap"] == sum(stats.cheap_rejects for stats in report.iterations)
+    assert seen["bound"] == sum(stats.bound_rejects for stats in report.iterations)
+
+
+@pytest.mark.parametrize("name", ["two_sphere_swap", "two_box_swap", "arm7_box"])
+def test_the_collision_floor_is_a_lower_bound_on_every_trial(name, monkeypatch):
+    # Through a whole solve, every trial that passes its cheap terms is also
+    # placed, culled, solved and evaluated in full from a copy of the same
+    # warm-start store. A trial rejected on its floor must fail the same
+    # Armijo bound in full; on a trial that reaches its lanes, the floor must
+    # be at or below the collision term (on two_sphere_swap every lane is a
+    # sphere lane, where the floor's U(t0) and the kernel's d_sq are equal
+    # in exact arithmetic).
+    scene = load_scene(scene_text(name))
+    slack = scene.outer.broad_phase_slack
+    original = trajopt._line_search_trial
+    seen = {"bound": 0, "tight": 0}
+
+    def trial(scene, states, bound, slack, warm):
+        no_derivs = _Accumulator(len(states), states.shape[1], False)
+        cheap = trajopt._cheap_terms(scene, states, no_derivs)
+        got = original(scene, states, bound, slack, warm)
+        if got[2] == "cheap":
+            return got
+        placement = place_states(scene, states)
+        kept = broad_phase_rows(scene, placement, slack)
+        floor = trajopt._collision_floor(scene, placement, kept, warm)
+        lanes = trajopt._pack_lanes(scene, placement, kept, warm.copy())
+        collision = trajopt._collision_penalty(scene, states, lanes, no_derivs)[0]
+        full = trajopt._evaluate(scene, states, lanes, False, cheap)[0]
+        if got[2] == "bound":
+            assert got[0] == cheap[0] + floor > bound
+            assert full > bound
+            seen["bound"] += 1
+        else:
+            assert got[0] == full and 0.0 <= floor <= collision
+            seen["tight"] += floor > 0.0
+        return got
+
+    monkeypatch.setattr(trajopt, "_line_search_trial", trial)
+    _, report = solve(scene)
+    assert seen["bound"] == sum(stats.bound_rejects for stats in report.iterations) > 0
+    assert seen["tight"] > 0  # the floor ≤ collision check saw a positive floor
+
+
+def test_a_non_finite_trial_is_not_rejected_on_its_collision_floor():
+    # two_sphere_swap's default trajectory drives the spheres through each
+    # other, so its collision floor alone rejects it against a bound at its
+    # cheap terms. Without the smoothness term the cheap terms read only the
+    # last step, so a NaN coordinate in a step where the spheres collide
+    # leaves them finite and makes only the floor NaN: the trial is not
+    # rejected on it, reaches its lanes and raises SolveError there.
+    scene = load_scene(scene_text("two_sphere_swap"))
+    scene.objectives.w_smooth = 0.0
+    states = trajopt.default_trajectory(scene).states
+    slack = scene.outer.broad_phase_slack
+    warm = trajopt._cold_starts(scene, len(states))
+    cheap = trajopt._cheap_terms(scene, states, _Accumulator(len(states), states.shape[1], False))[0]
+    value, lanes, rejected = trajopt._line_search_trial(scene, states, cheap, slack, warm)
+    assert rejected == "bound" and lanes is None and value > cheap
+    step = int(np.argmax(np.abs(states[:, 0] - states[:, scene.robot_offsets[1]]) < 0.1))
+    states[step, 0] = math.nan
+    assert trajopt._cheap_terms(scene, states, _Accumulator(len(states), states.shape[1], False))[0] == cheap
+    with pytest.raises(SolveError, match=f"at step {step + 1}$"):
+        trajopt._line_search_trial(scene, states, cheap, slack, warm)
 
 
 def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():

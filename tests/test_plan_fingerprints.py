@@ -3,8 +3,8 @@
 perfbench/ is read, never edited: its workloads module is loaded from its
 file, and the plan it builds for seed 0 is solved with trajopt.solve and
 compared with perfbench/fingerprints/arm7_plan.json. This workload is where
-the line search rejects trials on their cheap terms, so a change there that
-moves the trajectory shows here.
+the line search rejects trials on their cheap terms and on their collision
+floor, so a change there that moves the trajectory shows here.
 """
 
 import importlib.util
@@ -37,3 +37,4 @@ def test_arm7_plan_seed_0_matches_its_fingerprint():
     # 4.3e-8; 1e-7 still catches any change to the plan itself.
     assert np.abs(traj.states - np.array(fingerprint["states"])).max() <= 1e-7
     assert sum(stats.cheap_rejects for stats in report.iterations) > 0
+    assert sum(stats.bound_rejects for stats in report.iterations) > 0

@@ -207,6 +207,19 @@ def test_broad_phase_culling():
     assert broad_phase(near, traj, 1, 1.0) == [(0, 1)]
 
 
+def test_broad_phase_rejects_a_step_outside_the_trajectory():
+    # two steps: robot a's sphere is clear of b's at step 1 and touches it at
+    # step 2; step -1 must not read step N - 1 as states[-2:-1] does
+    scene = _two_sphere_scene([0, 0, 0], [0.3, 0, 0], num_steps=2)
+    states = np.tile(scene.initial_row(), (2, 1))
+    states[0, 0] = -100.0
+    traj = Trajectory(states, 0.1)
+    assert broad_phase(scene, traj, 1, 1.0) == [] and broad_phase(scene, traj, 2, 1.0) == [(0, 1)]
+    for step in (0, -1, 3):
+        with pytest.raises(ValueError, match=re.escape(f"step {step} outside 1..2")):
+            broad_phase(scene, traj, step, 1.0)
+
+
 def test_broad_phase_is_conservative():
     rng = np.random.default_rng(41)
     slack = 0.2
@@ -271,15 +284,16 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
     # Over a whole solve, the cheap terms run once per trial (the start is a
     # trial that cannot be rejected) and once per derivative evaluation; they
     # read only the states. A trial is placed, with one batched link_frames
-    # call per robot, only once it passes its cheap test. The broad phase then
-    # runs once on that placement; the trial's lanes are solved, one
-    # solve_lanes call per (La, Lb) group it keeps, and it has one value-only
-    # evaluation. A derivative evaluation solves no lane: it reads those of
-    # the trial that placed its states. So does the report: nothing is
-    # evaluated after the last iteration, and the report's objective and
-    # clearance are those of the last evaluation of the returned states. On
-    # arm7_box, smoothness + goal + limit alone reject some trials; on the
-    # swap scenes the collision term decides every trial.
+    # call per robot, and its broad phase runs once on that placement, only
+    # once it passes its cheap test. Its lanes are solved, one solve_lanes
+    # call per (La, Lb) group it keeps, and it has one value-only evaluation,
+    # only once it also passes its collision floor. A derivative evaluation
+    # solves no lane: it reads those of the trial that placed its states. So
+    # does the report: nothing is evaluated after the last iteration, and the
+    # report's objective and clearance are those of the last evaluation of
+    # the returned states. On arm7_box, smoothness + goal + limit alone
+    # reject some trials; on the swap scenes the collision term decides every
+    # trial. On every scene the floor rejects some trials.
     scene = load_scene(scene_text(name))
     calls = {"link_frames": 0, "broad_phase_rows": 0, "_limit_penalty": 0, "solve_lanes": 0, "value_only": 0}
     groups = []  # the (La, Lb) groups each built set of lanes keeps
@@ -316,14 +330,16 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
     traj, report = solve(scene)
     trials = sum(stats.trials for stats in report.iterations)
     cheap_rejects = sum(stats.cheap_rejects for stats in report.iterations)
+    bound_rejects = sum(stats.bound_rejects for stats in report.iterations)
     last = next(ev for ev in reversed(evaluated) if np.array_equal(ev[0], traj.states))
     assert (report.final_objective, report.min_clearance) == last[1:]
     assert calls["link_frames"] == len(scene.robots) * (1 + trials - cheap_rejects)
-    assert calls["broad_phase_rows"] == len(groups) == calls["value_only"] == 1 + trials - cheap_rejects
+    assert calls["broad_phase_rows"] == 1 + trials - cheap_rejects
+    assert len(groups) == calls["value_only"] == 1 + trials - cheap_rejects - bound_rejects
     assert calls["solve_lanes"] == sum(groups) > 0
     assert calls["_limit_penalty"] == 1 + trials + report.num_iterations
-    assert (cheap_rejects > 0) == rejects
-    assert all(0 <= stats.cheap_rejects <= stats.trials for stats in report.iterations)
+    assert (cheap_rejects > 0) == rejects and bound_rejects > 0
+    assert all(0 <= stats.cheap_rejects + stats.bound_rejects <= stats.trials for stats in report.iterations)
 
 
 def test_collision_penalty_separated_pairs():
@@ -645,12 +661,12 @@ def test_the_cheap_terms_place_nothing(monkeypatch):
     monkeypatch.setattr(trajopt, "place_states", counted)
     traj = default_trajectory(scene)
     slack, cold = scene.outer.broad_phase_slack, trajopt._cold_starts(scene, traj.num_steps)
-    value, lanes = trajopt._line_search_trial(scene, traj.states, 0.0, slack, cold)
-    assert lanes is None and value > 0.0  # the end-effector target is missed
+    value, lanes, rejected = trajopt._line_search_trial(scene, traj.states, 0.0, slack, cold)
+    assert lanes is None and rejected == "cheap" and value > 0.0  # the end-effector target is missed
     goal_value, _, _ = goal_terms(traj, scene)
     assert goal_value > 0.0 and placed == []
-    _, lanes = trajopt._line_search_trial(scene, traj.states, math.inf, slack, cold)
-    assert lanes is not None and placed == [1]
+    _, lanes, rejected = trajopt._line_search_trial(scene, traj.states, math.inf, slack, cold)
+    assert lanes is not None and rejected is None and placed == [1]
 
 
 def _nan_sphere_swap():
