@@ -58,7 +58,8 @@ def cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    clearances = validate(scene, traj).min_clearance_per_step
+    audit = validate(scene, traj)
+    clearances = audit.min_clearance_per_step
     text = export_trajectory(traj, scene, args.format, clearances=clearances)
     with open(args.output, "w") as f:
         f.write(text)
@@ -72,6 +73,9 @@ def cmd_plan(args) -> int:
             {name: _finite(value) for name, value in dataclasses.asdict(it).items()} for it in report.iterations
         ],
         "min_clearance_per_step": [_finite(c) for c in clearances],
+        "certified_pairs": audit.certified_pairs,
+        "clearance_violations": len(audit.violations),
+        "limit_violations": len(audit.limit_violations),
     }
     with open(args.output + ".report.json", "w") as f:
         json.dump(run_report, f, indent=2, allow_nan=False)

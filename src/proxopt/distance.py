@@ -6,8 +6,11 @@ softened with one-sided quadratic barriers and a small centering regularizer
 ||t - 0.5||^2 keeps the problem strongly convex (parallel capsules and friends
 stay well-conditioned). The resulting unconstrained problem is solved with
 Newton's method: solve_inner for one pair, solve_lanes for many pairs of one
-shape in one array pass with the same rounding. certify_soft_minimizer turns
-either one's soft minimizer into certified bounds on the hard squared distance.
+shape in one array pass with the same rounding. certify_lanes turns the soft
+minimizers of many pairs of one shape into certified bounds on their hard
+squared distances, in array passes: it clips each, polishes it by active-set
+steps, with one least-squares call per lane and round, and bounds it by the
+Frank-Wolfe duality gap. certified_distance is its one-pair form.
 """
 
 from __future__ import annotations
@@ -511,21 +514,27 @@ def certified_distance(
     pair: tuple[WorldPrimitive, WorldPrimitive],
     settings: InnerSettings = DEFAULT_INNER,
 ) -> tuple[float, float]:
-    """certify_soft_minimizer's bounds on the hard squared distance of a pair, from solve_inner (cold)."""
+    """certify_lanes' bounds on the hard squared distance of one pair, from solve_inner (cold)."""
     a, b = pair
     rows = np.concatenate([a.vectors, -b.vectors], axis=0)
     base = a.anchor - b.anchor
     # no soft minimizer is read for L = 0 or a non-finite pair, on which solve_inner may raise
     needed = len(rows) > 0 and math.isfinite(base.sum() + rows.T.sum())
-    return certify_soft_minimizer(base, rows, solve_inner(pair, settings).t_star if needed else None)
+    t_soft = solve_inner(pair, settings).t_star if needed else np.zeros(len(rows))
+    lower_sq, upper_sq = certify_lanes(base[None], rows[None], t_soft[None])
+    return float(lower_sq[0]), float(upper_sq[0])
 
 
-def certify_soft_minimizer(base: np.ndarray, rows: np.ndarray, t_soft) -> tuple[float, float]:
-    """Certified bounds (lower_sq, upper_sq) on the hard box-constrained squared distance.
+@np.errstate(all="ignore")
+def certify_lanes(base: np.ndarray, rows: np.ndarray, t_soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds (lower_sq, upper_sq), each (n,), on the hard box-constrained squared distance of n lanes.
 
-    base is a pair's anchor difference, rows its signed vectors (a's, then b's
-    negated) and t_soft a soft minimizer (unread if L = 0 or a coordinate is
-    not finite). t_soft is clipped into [0, 1]^L and polished by primal
+    Lane k is a pair with anchor difference base[k] (n, 3), signed vectors
+    rows[k] (n, L, 3: a's, then b's negated) and soft minimizer t_soft[k]
+    (n, L), which is not read if L = 0 (the bounds are then the squared
+    anchor distance) or a coordinate of the pair is not finite (a certified
+    collision, (0, inf)). t_soft is
+    clipped into [0, 1]^L and polished by at most L + 2 rounds of primal
     active-set steps on f(t) = ||base + J t||^2 over the box (J = rows.T):
     least squares on the free coordinates, a ratio test that fixes the first
     coordinate to reach a bound, and release of the fixed coordinate whose
@@ -533,49 +542,72 @@ def certify_soft_minimizer(base: np.ndarray, rows: np.ndarray, t_soft) -> tuple[
     resulting feasible t, upper_sq = f(t), and the Frank-Wolfe duality gap
     min_{s in [0,1]^L} g.(s - t), with g = grad f(t), gives by convexity
     lower_sq = f(t) + sum_l min(g_l, 0) - g.t <= min f, from any soft start.
+    A finite pair whose f(t) overflows is a collision too.
+
+    Each lane gets the float operations it would get alone, element-wise
+    across lanes: the products with J are stacked matmuls, which make the
+    per-lane BLAS calls, and a lane's step is padded to length L with an
+    infinite room at its fixed coordinates, so the ratio test blocks on the
+    same coordinate. Only the least squares stay per lane: one
+    np.linalg.lstsq call per lane with free coordinates per round, in lane
+    order. Overflow and NaN are expected, and end as collisions, so numpy
+    does not warn of them here.
     """
-    jt = rows.T  # (3, L): columns +v_a, -v_b
-    dim = jt.shape[1]
-    # A pair with a non-finite coordinate is a certified collision: (0, inf).
+    n, dim = rows.shape[:2]
     if dim == 0:
-        d_sq = float(base @ base)
-        return (d_sq, d_sq) if math.isfinite(d_sq) else (0.0, math.inf)
-    if not math.isfinite(base.sum() + jt.sum()):
-        return 0.0, math.inf
-
-    t = np.clip(t_soft, 0.0, 1.0)
+        d_sq = np.matmul(base[:, None, :], base[:, :, None])[:, 0, 0]
+        finite = np.isfinite(d_sq)
+        return np.where(finite, d_sq, 0.0), np.where(finite, d_sq, math.inf)
+    lower_sq, upper_sq = np.zeros(n), np.full(n, math.inf)
+    finite = np.flatnonzero(np.isfinite(base.sum(axis=1) + rows.reshape(n, 3 * dim).sum(axis=1)))
+    base, rows = base[finite], rows[finite]
+    t = np.clip(t_soft[finite], 0.0, 1.0)
     fixed = (t == 0.0) | (t == 1.0)
+    live = np.arange(len(t))  # the lanes still polishing
     for _ in range(dim + 2):
-        free = ~fixed
-        if free.any():
-            step = np.linalg.lstsq(jt[:, free], -(base + jt @ t), rcond=None)[0]
-            t_free = t[free]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(step > 0.0, (1.0 - t_free) / step, np.where(step < 0.0, -t_free / step, np.inf))
-            block = int(np.argmin(room))
-            if room[block] < 1.0:
-                t_free += room[block] * step
-                t_free[block] = 1.0 if step[block] > 0.0 else 0.0
-                t[free] = np.clip(t_free, 0.0, 1.0)
-                fixed[np.flatnonzero(free)[block]] = True
-                continue
-            t[free] = np.clip(t_free + step, 0.0, 1.0)
-        grad = 2.0 * ((base + jt @ t) @ jt)
-        # A coordinate fixed at 0 (1) may leave its bound if the gradient is negative (positive).
-        wrong_sign = np.where(fixed, np.where(t == 0.0, -grad, grad), 0.0)
-        release = int(np.argmax(wrong_sign))
-        if wrong_sign[release] <= 0.0:
+        if not len(live):
             break
-        fixed[release] = False
-
-    r = base + jt @ t
-    upper_sq = float(r @ r)
-    # A finite pair whose f(t) overflows (or whose polished t is not finite) is a collision too.
-    if not math.isfinite(upper_sq):
-        return 0.0, math.inf
-    grad = 2.0 * (r @ jt)
-    lower_sq = upper_sq + float(np.minimum(grad, 0.0).sum()) - float(grad @ t)
-    return max(0.0, lower_sq), upper_sq
+        t_live, free, b, jt = t[live], ~fixed[live], base[live], rows[live].transpose(0, 2, 1)
+        rhs = -(b + np.matmul(jt, t_live[:, :, None])[:, :, 0])
+        step = np.zeros_like(t_live)
+        for k in np.flatnonzero(free.any(axis=1)).tolist():
+            step[k, free[k]] = np.linalg.lstsq(jt[k][:, free[k]], rhs[k], rcond=None)[0]
+        room = np.where(step > 0.0, (1.0 - t_live) / step, np.where(step < 0.0, -t_live / step, np.inf))
+        # the first minimum (or NaN), as on the free coordinates alone; a fixed one's step is 0, its room inf
+        block = np.argmin(room, axis=1)
+        reach = room[np.arange(len(live)), block]
+        blocked = reach < 1.0
+        # a blocked lane moves by reach·step, with its blocking coordinate set on its bound; the others by step
+        moved = t_live + np.where(blocked, reach, 1.0)[:, None] * step
+        hit = np.flatnonzero(blocked)
+        moved[hit, block[hit]] = np.where(step[hit, block[hit]] > 0.0, 1.0, 0.0)
+        t_live = np.where(free, np.clip(moved, 0.0, 1.0), t_live)
+        t[live] = t_live
+        fixed[live[hit], block[hit]] = True
+        # a lane that was not blocked releases its fixed coordinate of the most wrong-signed multiplier:
+        # one fixed at 0 (1) may leave its bound if the gradient is negative (positive)
+        rest = np.flatnonzero(~blocked)
+        t_rest, jt = t_live[rest], jt[rest]
+        r = b[rest] + np.matmul(jt, t_rest[:, :, None])[:, :, 0]
+        grad = 2.0 * np.matmul(r[:, None, :], jt)[:, 0]
+        wrong_sign = np.where(fixed[live[rest]], np.where(t_rest == 0.0, -grad, grad), 0.0)
+        release = np.argmax(wrong_sign, axis=1)
+        # a lane stops once no multiplier is wrong-signed (<= 0); a NaN one is released
+        released = ~(wrong_sign[np.arange(len(rest)), release] <= 0.0)
+        fixed[live[rest[released]], release[released]] = False
+        goes_on = blocked.copy()  # a blocked lane polishes on, and so does one that released a coordinate
+        goes_on[rest[released]] = True
+        live = live[goes_on]
+    jt = rows.transpose(0, 2, 1)
+    r = base + np.matmul(jt, t[:, :, None])[:, :, 0]
+    upper = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+    grad = 2.0 * np.matmul(r[:, None, :], jt)[:, 0]
+    lower = upper + np.minimum(grad, 0.0).sum(axis=1) - np.matmul(grad[:, None, :], t[:, :, None])[:, 0, 0]
+    # max(0, lower), which takes a NaN lower to 0
+    ok = np.isfinite(upper)
+    lower_sq[finite] = np.where(ok & (lower > 0.0), lower, 0.0)
+    upper_sq[finite] = np.where(ok, upper, math.inf)
+    return lower_sq, upper_sq
 
 
 def _grid_points(prim: WorldPrimitive, lo: np.ndarray, hi: np.ndarray, resolution: int):

@@ -17,14 +17,16 @@ and its lanes solved, once: the line-search trial that placed it (the start
 counts as one) hands its solved lanes to the derivative evaluation and the
 report. A lane whose penalty is active gets its gradient from one small
 adjoint solve, taken back through its robot's chain as a wrench
-(`_lane_gradient`). `validate` certifies every (step, pair) on cold lanes.
+(`_lane_gradient`). `validate` certifies every (step, pair) on cold lanes,
+with one `distance.certify_lanes` call per (La, Lb) group.
 
 A line-search trial is rejected as soon as a lower bound on its value fails
 the Armijo test: first its smoothness, goal and limit terms, before it is
 placed, then those plus a collision floor, before its lanes are solved. The
 floor takes each kept lane's inner objective U at its warm start, which
 bounds the lane's d_sq from above (`_collision_floor`), with a relative
-slack of FLOOR_SLACK on U and on the sum against rounding.
+slack of FLOOR_SLACK on U and on the sum against rounding. A placed trial
+gathers its kept lanes once (`_KeptLanes`), for the floor and the solves.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certify_soft_minimizer, lane_objective, solve_lanes
+from .distance import DEFAULT_INNER, InnerSettings, _newton_step, certify_lanes, lane_objective, solve_lanes
 # Not called here: perfbench traces its grid-oracle and scalar inner-solve layers through these names.
 from .distance import brute_force_distance, solve_inner  # noqa: F401
 from .kinematics import (
@@ -412,51 +414,61 @@ def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
     return np.full((num_steps, len(scene.candidate_pairs()), 6), 0.5)
 
 
-def _lane_groups(scene: Scene, placement: Placement, step: np.ndarray, slot: np.ndarray):
-    """The lanes (step[k], slot[k]) by (La, Lb) shape, read straight from the placement arrays.
+class _KeptLanes:
+    """The kept lanes of a placement, gathered once for the collision floor and the lane solves.
 
-    Yields (lanes, la, lb, anchor_a, vectors_a, anchor_b, vectors_b) for each
-    non-empty group: `lanes` indexes step and slot, and the four arrays are
+    Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
+    of np.nonzero over the broad phase's kept mask. start[k] is its entry in
+    the warm-start store (a copy) and margin_sum[k] the sum of its two
+    margins. `groups` holds (lanes, la, lb, anchor_a, vectors_a, anchor_b,
+    vectors_b) for each non-empty (La, Lb) group: `lanes` indexes step and
+    slot, and the four arrays, read straight from the placement arrays, are
     solve_lanes' first four arguments for those lanes.
     """
-    group_of, shapes = scene._lane_index
-    _, first, second = scene._bounds_index
-    gid = group_of[slot]
-    for g, (la, lb) in enumerate(shapes):
-        lanes = np.flatnonzero(gid == g)
-        if not len(lanes):
-            continue
-        i, a, b = step[lanes], first[slot[lanes]], second[slot[lanes]]
-        yield (
-            lanes, la, lb,
-            placement.anchors[i, a], placement.vectors[i, a, :la],
-            placement.anchors[i, b], placement.vectors[i, b, :lb],
-        )
+
+    __slots__ = ("placement", "step", "slot", "margin_sum", "start", "groups")
+
+    def __init__(self, scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray):
+        margins, first, second = scene._bounds_index
+        group_of, shapes = scene._lane_index
+        step, slot = np.nonzero(kept)
+        self.placement, self.step, self.slot = placement, step, slot
+        self.margin_sum = margins[first[slot]] + margins[second[slot]]
+        self.start = warm[step, slot]
+        gid = group_of[slot]
+        self.groups = []
+        for g, (la, lb) in enumerate(shapes):
+            lanes = np.flatnonzero(gid == g)
+            if not len(lanes):
+                continue
+            i, a, b = step[lanes], first[slot[lanes]], second[slot[lanes]]
+            self.groups.append((
+                lanes, la, lb,
+                placement.anchors[i, a], placement.vectors[i, a, :la],
+                placement.anchors[i, b], placement.vectors[i, b, :lb],
+            ))
 
 
-def _pack_lanes(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> _Lanes:
-    """Solve every kept lane, read straight from the placement arrays and started from its entry in `warm`.
+def _pack_lanes(scene: Scene, kept: _KeptLanes) -> _Lanes:
+    """Solve every kept lane, started from its entry in the warm-start store.
 
     The lanes of one (La, Lb) shape are solved in one solve_lanes call. A
     failed lane is marked in `solved`, and _collision_penalty raises for it.
     """
-    margins, first, second = scene._bounds_index
-    step, slot = np.nonzero(kept)
-    n = len(step)
-    t = warm[step, slot]
+    n = len(kept.step)
+    t = kept.start.copy()
     d_sq, closest_a, closest_b = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
     ok = np.empty(n, dtype=bool)
-    for lanes, la, lb, *pair in _lane_groups(scene, placement, step, slot):
+    for lanes, la, lb, *pair in kept.groups:
         res = solve_lanes(*pair, t[lanes, : la + lb], scene.inner)
         t[lanes, : la + lb] = res.t_star
         d_sq[lanes], closest_a[lanes], closest_b[lanes] = res.d_sq, res.closest_a, res.closest_b
         ok[lanes] = res.converged & np.isfinite(res.d_sq)
-    margin_sum = margins[first[slot]] + margins[second[slot]]
-    return _Lanes(placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b, ok)
+    return _Lanes(kept.placement, kept.step, kept.slot, kept.margin_sum, t, d_sq, closest_a, closest_b, ok)
 
 
-def _collision_floor(scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray) -> float:
-    """A lower bound on the collision term of the kept lanes, from their starts in `warm`, with no Newton step.
+def _collision_floor(scene: Scene, kept: _KeptLanes) -> float:
+    """A lower bound on the collision term of the kept lanes, from their starts, with no Newton step.
 
     A lane's inner solve starts at its warm entry t0 and minimizes
     U(t) = d²(t) + w_reg·‖t − ½‖² + w_con·barrier(t), whose last two terms
@@ -469,13 +481,10 @@ def _collision_floor(scene: Scene, placement: Placement, kept: np.ndarray, warm:
     1 − FLOOR_SLACK, which covers it where U(t0) << m². A NaN U(t0) makes
     the floor NaN, which rejects nothing: the lane's solve reports it.
     """
-    margins, first, second = scene._bounds_index
-    step, slot = np.nonzero(kept)
-    start = warm[step, slot]
-    u = np.empty(len(step))
-    for lanes, la, lb, *pair in _lane_groups(scene, placement, step, slot):
-        u[lanes] = lane_objective(*pair, start[lanes, : la + lb], scene.inner)
-    m = margins[first[slot]] + margins[second[slot]]
+    u = np.empty(len(kept.step))
+    for lanes, la, lb, *pair in kept.groups:
+        u[lanes] = lane_objective(*pair, kept.start[lanes, : la + lb], scene.inner)
+    m = kept.margin_sum
     gap = np.maximum(m * m - (1.0 + FLOOR_SLACK) * u, 0.0)
     return (1.0 - FLOOR_SLACK) * scene.objectives.w_collision * float((gap * gap).sum())
 
@@ -798,7 +807,8 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
         raise ValueError(f"not candidate pairs of the scene: {sorted(unknown)}")
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     kept = np.array([[pair in row for pair in scene.candidate_pairs()] for row in active], dtype=bool)
-    lanes = _pack_lanes(scene, place_states(scene, traj.states), kept, _cold_starts(scene, traj.num_steps))
+    placement = place_states(scene, traj.states)
+    lanes = _pack_lanes(scene, _KeptLanes(scene, placement, kept, _cold_starts(scene, traj.num_steps)))
     value, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
@@ -854,11 +864,11 @@ def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: n
     if cheap[0] > bound:
         return cheap[0], None, "cheap"
     placement = place_states(scene, states)
-    kept = broad_phase_rows(scene, placement, slack)
-    lower = cheap[0] + _collision_floor(scene, placement, kept, warm)
+    kept = _KeptLanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
+    lower = cheap[0] + _collision_floor(scene, kept)
     if lower > bound:
         return lower, None, "bound"
-    lanes = _pack_lanes(scene, placement, kept, warm)
+    lanes = _pack_lanes(scene, kept)
     return _evaluate(scene, states, lanes, False, cheap)[0], lanes, None
 
 
@@ -1085,6 +1095,7 @@ class ValidationReport:
     min_clearance_per_step: list[float]
     violations: list[ClearanceRecord]
     limit_violations: list[LimitViolation]
+    certified_pairs: int  # the (step, pair) lanes certified: every candidate pair at every step
 
     @property
     def worst_clearance(self) -> float:
@@ -1097,9 +1108,13 @@ class ValidationReport:
 def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     """Post-hoc audit: certified clearances for every pair, plus all limit values.
 
-    Every candidate pair at every step is a lane solved cold by _pack_lanes,
-    and certify_soft_minimizer's lower bound from its t* keeps each reported
-    clearance at or below the true one (up to rounding), converged or not.
+    Every candidate pair at every step is a lane solved cold by _pack_lanes.
+    certify_lanes turns the t* of each (La, Lb) group's lanes, in one call,
+    into certified lower bounds on their squared distances, which keep each
+    reported clearance at or below the true one (up to rounding), converged
+    or not. A clearance is the bound's square root minus one margin, then
+    the other. A step's minimum is its first lowest clearance in pair order,
+    or its first NaN one, and every clearance below 0 or NaN is a violation.
     """
     if traj.states.shape[1] != scene.dim_total:
         raise ValueError(f"trajectory has {traj.states.shape[1]} columns, the scene {scene.dim_total}")
@@ -1107,20 +1122,24 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     pairs = scene.candidate_pairs()
     placement = place_states(scene, traj.states)
     every_pair = np.ones((traj.num_steps, len(pairs)), dtype=bool)
-    lanes = _pack_lanes(scene, placement, every_pair, _cold_starts(scene, traj.num_steps))
-    anchors, vectors = placement.anchors, placement.vectors
+    kept = _KeptLanes(scene, placement, every_pair, _cold_starts(scene, traj.num_steps))
+    lanes = _pack_lanes(scene, kept)
+    lower_sq = np.empty(len(lanes.step))
+    for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in kept.groups:
+        rows = np.concatenate([vectors_a, -vectors_b], axis=1)
+        lower_sq[group] = certify_lanes(anchor_a - anchor_b, rows, lanes.t[group, : la + lb])[0]
+    margins, first, second = scene._bounds_index
+    clearance = np.sqrt(lower_sq) - margins[first[lanes.slot]] - margins[second[lanes.slot]]
+    # every pair at every step: lane i·C + c is pair c at step i
+    by_step = clearance.reshape(traj.num_steps, len(pairs))
     per_step = [math.inf] * traj.num_steps
-    violations = []
-    for k, (i, c) in enumerate(zip(lanes.step.tolist(), lanes.slot.tolist())):
-        a, b = pairs[c]
-        la, lb = refs[a].num_params, refs[b].num_params
-        rows = np.concatenate([vectors[i, a, :la], -vectors[i, b, :lb]], axis=0)
-        lower_sq, _ = certify_soft_minimizer(anchors[i, a] - anchors[i, b], rows, lanes.t[k, : la + lb])
-        clearance = math.sqrt(lower_sq) - refs[a].margin - refs[b].margin
-        if clearance < per_step[i] or math.isnan(clearance):
-            per_step[i] = clearance
-        if not clearance >= 0.0:  # a NaN clearance is a violation too
-            violations.append(ClearanceRecord(i + 1, (refs[a].name, refs[b].name), clearance))
+    if len(pairs):
+        per_step = by_step[np.arange(traj.num_steps), np.argmin(by_step, axis=1)].tolist()
+    bad = np.flatnonzero(~(clearance >= 0.0))  # a NaN clearance is a violation too
+    violations = [
+        ClearanceRecord(i + 1, (refs[pairs[c][0]].name, refs[pairs[c][1]].name), value)
+        for i, c, value in zip(lanes.step[bad].tolist(), lanes.slot[bad].tolist(), clearance[bad].tolist())
+    ]
     # The planner's stencil values over traj.h; each entry outside its bounds,
     # keyed by (step, column, order): step, then robot and coordinate, then order.
     entries = []
@@ -1134,4 +1153,4 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     limit_viols = [
         LimitViolation(step + 1, scene.robots[r].name, label, amount) for step, _, _, (r, label), amount in entries
     ]
-    return ValidationReport(per_step, violations, limit_viols)
+    return ValidationReport(per_step, violations, limit_viols, len(lanes.step))

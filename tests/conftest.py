@@ -29,7 +29,7 @@ def solved_lanes(scene, states, warm=None):
     kept = trajopt.broad_phase_rows(scene, placement, scene.outer.broad_phase_slack)
     if warm is None:
         warm = trajopt._cold_starts(scene, len(states))
-    return trajopt._pack_lanes(scene, placement, kept, warm)
+    return trajopt._pack_lanes(scene, trajopt._KeptLanes(scene, placement, kept, warm))
 
 
 def exact_distance(pair) -> float:

@@ -35,6 +35,7 @@ def test_plan_writes_trajectory_and_report(tmp_path, capsys):
     assert len(report["min_clearance_per_step"]) == 10
     # a single-robot sphere scene has no pairs: clearances are null (infinite)
     assert all(c is None for c in report["min_clearance_per_step"])
+    assert (report["certified_pairs"], report["clearance_violations"], report["limit_violations"]) == (0, 0, 0)
     history = report["objective_history"]
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -137,7 +138,12 @@ def test_plan_report_clearances_are_validate_bounds(tmp_path):
     report = json.loads((tmp_path / "t.csv.report.json").read_text())
     scene = load_scene(scene_text("two_box_swap"))
     traj, _ = solve(scene)
-    assert report["min_clearance_per_step"] == validate(scene, traj).min_clearance_per_step
+    audit = validate(scene, traj)
+    assert report["min_clearance_per_step"] == audit.min_clearance_per_step
+    # every candidate pair at every step is certified: 1 pair over 50 steps
+    assert report["certified_pairs"] == audit.certified_pairs == 50
+    assert report["clearance_violations"] == len(audit.violations) > 0
+    assert report["limit_violations"] == len(audit.limit_violations)
 
 
 def test_plan_nonconvergence_exit_code(tmp_path):

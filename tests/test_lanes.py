@@ -5,7 +5,10 @@ every lane exactly what `solve_inner` gives that pair: the same t*, d_sq,
 closest points, step count and convergence flag, to the bit. The planner
 solves all (step, pair) lanes of a placed state with it when it builds them,
 and `validate` certifies every (step, pair) on cold lanes, which must match
-the per-pair loop over `certified_distance` to the bit; the reference below is the per-lane loop over `solve_inner` and
+the per-pair loop over `certified_distance` to the bit. Both certify through
+`certify_lanes`, which must give every lane, alone or in a group, exactly
+the bounds of the scalar certification it replaced, kept below as its
+reference. The reference for the planner is the per-lane loop over `solve_inner` and
 `pair_derivatives` that the planner ran before, and `_evaluate` must match it
 through a solve, including the derivative evaluations, which solve nothing
 and read the lanes of the accepted line-search trial: bitwise in everything
@@ -32,6 +35,7 @@ from proxopt import distance, kinematics, primitives, sensitivity, trajopt
 from proxopt.distance import DEFAULT_INNER, InnerSettings, solve_inner, solve_lanes
 from proxopt.gradcheck import _ref_jacobian
 from proxopt.pairs import KIND_PAIRS, place_pair, random_pair
+from proxopt.primitives import Kind, WorldPrimitive
 from proxopt.scene_io import load_scene
 from proxopt.sensitivity import pair_derivatives
 from proxopt.trajopt import (
@@ -338,8 +342,9 @@ def test_the_collision_floor_is_a_lower_bound_on_every_trial(name, monkeypatch):
             return got
         placement = place_states(scene, states)
         kept = broad_phase_rows(scene, placement, slack)
-        floor = trajopt._collision_floor(scene, placement, kept, warm)
-        lanes = trajopt._pack_lanes(scene, placement, kept, warm.copy())
+        gathered = trajopt._KeptLanes(scene, placement, kept, warm)
+        floor = trajopt._collision_floor(scene, gathered)
+        lanes = trajopt._pack_lanes(scene, gathered)
         collision = trajopt._collision_penalty(scene, states, lanes, no_derivs)[0]
         full = trajopt._evaluate(scene, states, lanes, False, cheap)[0]
         if got[2] == "bound":
@@ -395,6 +400,189 @@ def test_failed_lane_raises_for_the_first_lane_in_step_pair_order():
     assert str(got.value) == str(ref.value)
 
 
+# -- certify_lanes against the scalar certification it replaced ---------------
+
+
+def _certify_reference(base, rows, t_soft):
+    """The scalar certification that certify_lanes replaced, kept unchanged as its reference: one lane.
+
+    base is a pair's anchor difference, rows its signed vectors (a's, then b's
+    negated) and t_soft a soft minimizer (unread if L = 0 or a coordinate is
+    not finite). Returns (lower_sq, upper_sq) as Python floats.
+    """
+    jt = rows.T  # (3, L): columns +v_a, -v_b
+    dim = jt.shape[1]
+    # A pair with a non-finite coordinate is a certified collision: (0, inf).
+    if dim == 0:
+        d_sq = float(base @ base)
+        return (d_sq, d_sq) if math.isfinite(d_sq) else (0.0, math.inf)
+    if not math.isfinite(base.sum() + jt.sum()):
+        return 0.0, math.inf
+
+    t = np.clip(t_soft, 0.0, 1.0)
+    fixed = (t == 0.0) | (t == 1.0)
+    for _ in range(dim + 2):
+        free = ~fixed
+        if free.any():
+            step = np.linalg.lstsq(jt[:, free], -(base + jt @ t), rcond=None)[0]
+            t_free = t[free]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step > 0.0, (1.0 - t_free) / step, np.where(step < 0.0, -t_free / step, np.inf))
+            block = int(np.argmin(room))
+            if room[block] < 1.0:
+                t_free += room[block] * step
+                t_free[block] = 1.0 if step[block] > 0.0 else 0.0
+                t[free] = np.clip(t_free, 0.0, 1.0)
+                fixed[np.flatnonzero(free)[block]] = True
+                continue
+            t[free] = np.clip(t_free + step, 0.0, 1.0)
+        grad = 2.0 * ((base + jt @ t) @ jt)
+        # A coordinate fixed at 0 (1) may leave its bound if the gradient is negative (positive).
+        wrong_sign = np.where(fixed, np.where(t == 0.0, -grad, grad), 0.0)
+        release = int(np.argmax(wrong_sign))
+        if wrong_sign[release] <= 0.0:
+            break
+        fixed[release] = False
+
+    r = base + jt @ t
+    upper_sq = float(r @ r)
+    # A finite pair whose f(t) overflows (or whose polished t is not finite) is a collision too.
+    if not math.isfinite(upper_sq):
+        return 0.0, math.inf
+    grad = 2.0 * (r @ jt)
+    lower_sq = upper_sq + float(np.minimum(grad, 0.0).sum()) - float(grad @ t)
+    return max(0.0, lower_sq), upper_sq
+
+
+def _bits(lower, upper):
+    """Bounds as float.hex pairs, which tell 0.0 from -0.0."""
+    return [(float(lo).hex(), float(up).hex()) for lo, up in zip(lower, upper)]
+
+
+def _assert_certify_equals_reference(base, rows, t_soft):
+    """certify_lanes over all lanes at once, and over each lane alone, equals the reference lane by lane, to the bit."""
+    got = distance.certify_lanes(base, rows, t_soft)
+    assert got[0].shape == got[1].shape == (len(base),)
+    ref = [_certify_reference(base[k], rows[k], t_soft[k].copy()) for k in range(len(base))]
+    assert _bits(*got) == [(lo.hex(), up.hex()) for lo, up in ref]
+    alone = [distance.certify_lanes(base[k : k + 1], rows[k : k + 1], t_soft[k : k + 1]) for k in range(len(base))]
+    assert [pair for lo, up in alone for pair in _bits(lo, up)] == _bits(*got)
+    return got
+
+
+def _certify_arrays(world_pairs):
+    """(base (n, 3), rows (n, L, 3)) of pairs of one (La, Lb) shape."""
+    n = len(world_pairs)
+    dim = world_pairs[0][0].num_params + world_pairs[0][1].num_params
+    base = np.array([a.anchor - b.anchor for a, b in world_pairs]).reshape(n, 3)
+    rows = np.array([np.concatenate([a.vectors, -b.vectors], axis=0) for a, b in world_pairs]).reshape(n, dim, 3)
+    return base, rows
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_certify_lanes_equals_the_scalar_certification_bitwise(kinds):
+    # rotated random pairs, spread out and overlapping, from soft minimizers
+    # of converged and one-step solves, from random points inside and
+    # outside the unit box, and from coordinates exactly 0.0, -0.0 and 1.0
+    rng = np.random.default_rng([23, KIND_PAIRS.index(kinds)])
+    world = [place_pair(*random_pair(kinds, rng, scale)) for scale in (1.0, 0.2) for _ in range(60)]
+    base, rows = _certify_arrays(world)
+    n, dim = rows.shape[:2]
+    edges = rng.choice(np.array([0.0, -0.0, 1.0, 0.5]), size=(n, dim))
+    starts = (
+        np.array([solve_inner(pair).t_star for pair in world]).reshape(n, dim),
+        np.array([solve_inner(pair, InnerSettings(max_iters=1)).t_star for pair in world]).reshape(n, dim),
+        rng.uniform(0.0, 1.0, (n, dim)),
+        rng.uniform(-1.0, 2.0, (n, dim)),
+        edges,
+        np.where(rng.random((n, dim)) < 0.5, edges, rng.uniform(-0.5, 1.5, (n, dim))),
+    )
+    for t_soft in starts:
+        lower, upper = _assert_certify_equals_reference(base, rows, t_soft)
+        assert np.isfinite(upper).all()
+    if dim == 0:  # a sphere pair's bounds are its squared distance
+        assert np.array_equal(lower, upper)
+
+
+def test_certify_lanes_of_non_finite_and_overflowing_pairs_are_collisions():
+    # a lane with a NaN or infinite coordinate is (0, inf) whatever its t,
+    # and so is one whose f(t) overflows (a rectangle at 1e200 spanning
+    # 1e200, against a sphere), among finite lanes
+    rng = np.random.default_rng(29)
+    box = WorldPrimitive(np.array([1e200, 0.0, 0.0]), np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]), 0.1)
+    for kinds in KIND_PAIRS:
+        world = [place_pair(*random_pair(kinds, rng)) for _ in range(8)]
+        base, rows = _certify_arrays(world)
+        n, dim = rows.shape[:2]
+        t_soft = rng.uniform(-0.5, 1.5, (n, dim))
+        spoiled = [0, 3, 5]
+        for k, bad in zip(spoiled, (math.nan, math.inf, -math.inf)):
+            if dim and k != 0:
+                rows[k, -1, 1] = bad
+                t_soft[k] = math.nan  # unread
+            else:
+                base[k, 2] = bad
+        lower, upper = _assert_certify_equals_reference(base, rows, t_soft)
+        assert _bits(lower[spoiled], upper[spoiled]) == [(0.0.hex(), math.inf.hex())] * 3
+        assert np.isfinite(np.delete(upper, spoiled)).all()
+    sphere = WorldPrimitive(np.zeros(3), np.zeros((0, 3)), 0.1)
+    for pair in ((box, sphere), (sphere, box)):
+        base, rows = _certify_arrays([pair, place_pair(*random_pair((Kind.RECTANGLE, Kind.SPHERE), rng))])
+        lower, upper = _assert_certify_equals_reference(base, rows, rng.uniform(0.0, 1.0, (2, 2)))
+        assert (lower[0], upper[0]) == (0.0, math.inf) and math.isfinite(upper[1])
+    # two spheres 1e200 apart: L = 0, and the squared distance overflows
+    far = WorldPrimitive(np.array([1e200, 0.0, 0.0]), np.zeros((0, 3)), 0.1)
+    base, rows = _certify_arrays([(far, sphere), (sphere, sphere)])
+    lower, upper = _assert_certify_equals_reference(base, rows, np.zeros((2, 0)))
+    assert _bits(lower, upper) == [(0.0.hex(), math.inf.hex()), (0.0.hex(), 0.0.hex())]
+
+
+def test_certify_lanes_takes_no_lanes():
+    for dim in (0, 1, 3, 6):
+        lower, upper = distance.certify_lanes(np.zeros((0, 3)), np.zeros((0, dim, 3)), np.zeros((0, dim)))
+        assert lower.shape == upper.shape == (0,)
+
+
+def test_certify_lanes_with_a_nan_soft_minimizer_on_a_finite_pair_follows_the_reference():
+    # a NaN t on a finite pair: the same bounds as the reference, or the same exception
+    rng = np.random.default_rng(31)
+    for kinds in KIND_PAIRS:
+        world = [place_pair(*random_pair(kinds, rng)) for _ in range(4)]
+        base, rows = _certify_arrays(world)
+        n, dim = rows.shape[:2]
+        if dim == 0:
+            continue
+        t_soft = rng.uniform(0.0, 1.0, (n, dim))
+        t_soft[1, 0] = math.nan
+        t_soft[3] = math.nan
+        try:
+            ref = [_certify_reference(base[k], rows[k], t_soft[k].copy()) for k in range(n)]
+        except Exception as exc:  # noqa: BLE001 - whatever the reference raises, certify_lanes must too
+            with pytest.raises(type(exc)):
+                distance.certify_lanes(base, rows, t_soft)
+        else:
+            assert _bits(*distance.certify_lanes(base, rows, t_soft)) == [(lo.hex(), up.hex()) for lo, up in ref]
+
+
+@pytest.mark.parametrize("name", ["two_sphere_swap", "two_box_swap", "arm7_box"])
+def test_certify_lanes_equals_the_reference_on_every_lane_of_the_scenes(name):
+    # validate's groups, on the solved plan and on the default trajectory
+    # after one inner Newton step (unconverged lanes), certified per group
+    scene = load_scene(scene_text(name))
+    solved, _ = solve(scene)
+    one_step = dataclasses.replace(scene, inner=InnerSettings(max_iters=1))
+    unconverged = 0
+    for scene, states in ((scene, solved.states), (one_step, trajopt.default_trajectory(scene).states)):
+        every_pair = np.ones((len(states), len(scene.candidate_pairs())), dtype=bool)
+        kept = trajopt._KeptLanes(scene, place_states(scene, states), every_pair, trajopt._cold_starts(scene, len(states)))
+        lanes = trajopt._pack_lanes(scene, kept)
+        unconverged += int((~lanes.solved).sum())
+        for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in kept.groups:
+            rows = np.concatenate([vectors_a, -vectors_b], axis=1)
+            _assert_certify_equals_reference(anchor_a - anchor_b, rows, lanes.t[group, : la + lb])
+    assert unconverged > 0 or name == "two_sphere_swap"  # sphere lanes take no Newton step
+
+
 # -- validate on cold lanes against the per-pair certified_distance loop -------
 
 
@@ -447,7 +635,9 @@ def test_validate_certifies_lanes_that_do_not_converge(name):
     scene = dataclasses.replace(load_scene(scene_text(name)), inner=InnerSettings(max_iters=1))
     states = trajopt.default_trajectory(scene).states
     kept = np.ones((len(states), len(scene.candidate_pairs())), dtype=bool)
-    lanes = trajopt._pack_lanes(scene, place_states(scene, states), kept, trajopt._cold_starts(scene, len(states)))
+    lanes = trajopt._pack_lanes(
+        scene, trajopt._KeptLanes(scene, place_states(scene, states), kept, trajopt._cold_starts(scene, len(states)))
+    )
     assert not lanes.solved.all()
     _assert_validate_equals_reference(scene, states)
 
@@ -499,7 +689,7 @@ def test_collision_gradient_equals_the_pair_derivatives_reference():
         kept = np.ones((num_steps, len(scene.candidate_pairs())), dtype=bool)
         kinds |= _hit_kinds(scene, states, active)
         cold = trajopt._cold_starts(scene, num_steps)
-        lanes = trajopt._pack_lanes(scene, place_states(scene, states), kept, cold)
+        lanes = trajopt._pack_lanes(scene, trajopt._KeptLanes(scene, place_states(scene, states), kept, cold))
         acc = _Accumulator(num_steps, states.shape[1], True)
         got = trajopt._collision_penalty(scene, states, lanes, acc)
         ref_acc = _Accumulator(num_steps, states.shape[1], True)

@@ -311,9 +311,9 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
         monkeypatch.setattr(trajopt, attr, counted)
     pack, evaluate = trajopt._pack_lanes, trajopt._evaluate
 
-    def counted_pack(scene, placement, kept, warm):
-        groups.append(len(set(scene._lane_index[0][np.nonzero(kept)[1]].tolist())))
-        return pack(scene, placement, kept, warm)
+    def counted_pack(scene, kept):
+        groups.append(len(set(scene._lane_index[0][kept.slot].tolist())))
+        return pack(scene, kept)
 
     def counted_evaluate(scene, states, lanes, need_derivs, *rest):
         in_derivs[0] = need_derivs
