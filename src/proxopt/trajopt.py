@@ -62,15 +62,18 @@ class SolveError(RuntimeError):
 
 
 def solveh_banded(ab, b, lower=False):
-    """scipy.linalg.solveh_banded, with scipy.linalg imported on first use.
+    """scipy.linalg.solveh_banded, factoring `ab` in place, with scipy.linalg imported on first use.
 
+    `ab` is overwritten by its Cholesky factor. Its one caller passes the
+    private Fortran-ordered copy that _to_banded makes, which LAPACK then
+    factors without scipy copying it again (finiteness is still checked).
     Importing scipy.linalg adds about 30 MB and 0.3 s to a process. Only the
     outer Newton step needs it, so processes that use just the distance and
     sensitivity layers never load it.
     """
     from scipy.linalg import solveh_banded as banded
 
-    return banded(ab, b, lower=lower)
+    return banded(ab, b, overwrite_ab=True, lower=lower)
 
 
 @dataclass(frozen=True)
@@ -593,7 +596,8 @@ class _Accumulator:
     Every term couples steps at most two apart, so the Hessian's upper band
     of `bandwidth` = 3·d − 1 diagonals (at most N·d − 1) holds all of it.
     `band` stores it as solveh_banded takes it: entry (r, c), r <= c, is
-    band[bandwidth + r − c, c].
+    band[bandwidth + r − c, c]. It is Fortran-ordered, as LAPACK reads it,
+    so _to_banded's copy is the matrix that solveh_banded factors in place.
     """
 
     def __init__(self, num_steps: int, dim: int, need_derivs: bool):
@@ -601,7 +605,7 @@ class _Accumulator:
         self.dim = dim
         self.bandwidth = max(min(3 * dim, num_steps * dim) - 1, 0)
         self.grad = np.zeros((num_steps, dim)) if need_derivs else None
-        self.band = np.zeros((self.bandwidth + 1, num_steps * dim)) if need_derivs else None
+        self.band = np.zeros((num_steps * dim, self.bandwidth + 1)).T if need_derivs else None
 
     @property
     def need_derivs(self) -> bool:
@@ -636,7 +640,13 @@ def _smoothness(states, h, w_s, acc: _Accumulator) -> float:
     return value
 
 
-def _goal_terms(scene: Scene, states, acc: _Accumulator) -> float:
+def _goal_terms(scene: Scene, states, acc: _Accumulator, placement: Optional[Placement] = None) -> float:
+    """State and end-effector targets.
+
+    An end-effector target reads its link frames from `placement` (that of
+    `states`) when given, and otherwise makes one single-row link_frames call
+    on its own step; the two are bitwise equal.
+    """
     value = 0.0
     offsets = scene.robot_offsets
     for tgt in scene.objectives.state_targets:
@@ -653,7 +663,7 @@ def _goal_terms(scene: Scene, states, acc: _Accumulator) -> float:
         off = offsets[tgt.robot]
         i = tgt.step - 1
         state = scene.robot_state(states[i], tgt.robot)
-        frames = link_frames(robot, state)
+        frames = link_frames(robot, state) if placement is None else placement.frames[tgt.robot].step(i)
         p = frames.origins[tgt.link] + frames.rotations[tgt.link] @ tgt.local
         e = p - tgt.target
         value += tgt.weight * float(e @ e)
@@ -703,15 +713,14 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
             continue
         v = _stencil_values(states, order, columns, scene.h).T  # (column, step)
         # One-sided quadratic barriers toward [lo, hi]; the upper bound wins.
-        e = np.zeros_like(v)
-        for bound, outside in ((lower, v < lower[:, None]), (upper, v > upper[:, None])):
-            k, i = np.nonzero(outside)
-            e[k, i] = v[k, i] - bound[k]
+        lo, hi = lower[:, None], upper[:, None]
+        e = np.where(v > hi, v - hi, np.where(v < lo, v - lo, 0.0))
         phi = e * e
-        k, i = np.nonzero(phi != 0.0)
+        hit = phi != 0.0
+        k, i = np.nonzero(hit)
         if not len(k):
             continue
-        phi, e, steps, col = phi[k, i], e[k, i], i + order, columns[k]
+        phi, e, steps, col = phi[hit], e[hit], i + order, columns[k]
         hit_columns.append(col)
         terms.append(w * phi)
         worst = max(worst, float(np.sqrt(phi.max())))
@@ -728,8 +737,11 @@ def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, floa
     if not terms:
         return 0.0, worst
     # The hits come in (order, column, step) order; a stable sort by column
-    # makes it (column, order, step).
-    terms = np.concatenate(terms)[np.argsort(np.concatenate(hit_columns), kind="stable")]
+    # makes it (column, order, step). One order's hits are in that order.
+    if len(terms) == 1:
+        terms = terms[0]
+    else:
+        terms = np.concatenate(terms)[np.argsort(np.concatenate(hit_columns), kind="stable")]
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1]), worst
 
 
@@ -813,14 +825,16 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
 
-def _cheap_terms(scene: Scene, states, acc: _Accumulator) -> tuple[float, float]:
+def _cheap_terms(scene: Scene, states, acc: _Accumulator, placement: Optional[Placement] = None) -> tuple[float, float]:
     """Smoothness + goal + limit, added in that order: (partial value, worst raw limit violation).
 
     Every term is a non-negative penalty, and adding a non-negative number
     never lowers a float sum, so the objective is at least this partial sum.
+    `placement`, if given, is that of `states`, and the goal term reads its
+    frames (_goal_terms).
     """
     value = _smoothness(states, scene.h, scene.objectives.w_smooth, acc)
-    value += _goal_terms(scene, states, acc)
+    value += _goal_terms(scene, states, acc, placement)
     lim_value, lim_worst = _limit_penalty(scene, states, acc)
     return value + lim_value, lim_worst
 
@@ -832,13 +846,13 @@ def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Opt
     makes the value exact: culled pairs have bounding separation
     > slack >= 0, hence positive clearance and zero penalty. (A pair set
     frozen across a line search would make trial values incomparable and can
-    cycle.) Nothing is solved here: a derivative evaluation reads the
-    solutions of the trial that placed `states`. `cheap` is _cheap_terms'
-    result at `states` when a value-only caller has it already; the
-    collision term is then added to it.
+    cycle.) Nothing is solved or placed here: a derivative evaluation reads
+    the solutions and link frames of the trial that placed `states`.
+    `cheap` is _cheap_terms' result at `states` when a value-only caller has
+    it already; the collision term is then added to it.
     """
     acc = _Accumulator(len(states), states.shape[1], need_derivs)
-    value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, acc)
+    value, lim_worst = cheap if cheap is not None else _cheap_terms(scene, states, acc, lanes.placement)
     col_value, min_clear, max_viol = _collision_penalty(scene, states, lanes, acc)
     value += col_value
     return value, acc, min_clear, max(max_viol, lim_worst)
@@ -873,8 +887,12 @@ def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: n
 
 
 def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
-    """The damped Newton matrix for solveh_banded: a copy of the assembled band plus lam on its diagonal."""
-    ab = band.copy()
+    """The damped Newton matrix for solveh_banded: a copy of the assembled band plus lam on its diagonal.
+
+    The copy is Fortran-ordered, and solveh_banded factors it in place, so
+    `band` is left as it was for a retry at another damping.
+    """
+    ab = band.copy(order="F")
     ab[-1] += lam
     return ab
 

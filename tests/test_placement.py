@@ -103,10 +103,12 @@ def _bound_penalty(v, lo, hi):
 
 
 def _reference_limit_penalty(scene, states, grad, hess):
-    """Every limit entry at every step, visited one at a time; adds into grad and hess."""
+    """Every limit entry at every step, visited one at a time; adds into grad and hess.
+
+    Returns (value, worst raw bound violation)."""
     w, h = scene.objectives.w_limit, scene.h
     n, dim = states.shape
-    value = 0.0
+    value = worst = 0.0
     stencils = {
         0: ((0, 1.0),),
         1: ((0, 1.0 / h), (-1, -1.0 / h)),
@@ -131,6 +133,7 @@ def _reference_limit_penalty(scene, states, grad, hess):
                     if phi == 0.0:
                         continue
                     value += w * phi
+                    worst = max(worst, math.sqrt(phi))
                     for d, c in stencil:
                         grad[i + d, col] += w * dphi * c
                     for da, ca in stencil:
@@ -138,7 +141,7 @@ def _reference_limit_penalty(scene, states, grad, hess):
                             blk = np.zeros((dim, dim))
                             blk[col, col] = w * ddphi * ca * cb
                             hess[(i + da) * dim : (i + da + 1) * dim, (i + db) * dim : (i + db + 1) * dim] += blk
-    return value
+    return value, worst
 
 
 def _reference_limit_violations(scene, states, h):
@@ -384,7 +387,7 @@ def test_batched_limit_penalty_is_bitwise_the_per_entry_loop(name):
     states = _random_states(scene, 5, num_steps)
     value, grad, hess = limit_penalty(Trajectory(states, scene.h), scene)
     ref_grad, ref_hess = np.zeros(grad.shape), np.zeros(hess.shape)
-    ref_value = _reference_limit_penalty(scene, states, ref_grad.reshape(num_steps, -1), ref_hess)
+    ref_value, _ = _reference_limit_penalty(scene, states, ref_grad.reshape(num_steps, -1), ref_hess)
     assert value > 0.0
     assert value == ref_value
     assert np.array_equal(grad, ref_grad)
@@ -400,10 +403,52 @@ def test_limit_penalty_adds_in_the_per_entry_order(num_steps):
     states = _random_states(scene, 9, num_steps) * 2.0
     acc, ref_grad, ref_hess = _seeded_accumulator(num_steps, states.shape[1], 10)
     value, worst = trajopt._limit_penalty(scene, states, acc)
-    assert value == _reference_limit_penalty(scene, states, ref_grad, ref_hess)
+    assert (value, worst) == _reference_limit_penalty(scene, states, ref_grad, ref_hess)
     assert math.isfinite(value) and worst > 0.0
     assert np.array_equal(acc.grad, ref_grad)
     assert np.array_equal(acc.band, _upper_band(ref_hess, acc.bandwidth))
+
+
+@pytest.mark.parametrize("name", ["arm7_box", "two_robots"])
+def test_value_only_limit_penalty_is_bitwise_the_per_entry_loop(name):
+    # arm7_box's table has position limits only, so its hits come from one
+    # stencil order and skip the sort by column; two_robots has hits in
+    # every order
+    num_steps = 50
+    scene = SCENES[name](num_steps)
+    states = _random_states(scene, 21, num_steps) * 2.0
+    orders = [len(columns) > 0 for columns, *_ in scene._limit_index]
+    assert orders == ([True, False, False] if name == "arm7_box" else [True, True, True])
+    dim = states.shape[1]
+    value, worst = trajopt._limit_penalty(scene, states, trajopt._Accumulator(num_steps, dim, False))
+    ref_grad, ref_hess = np.zeros((num_steps, dim)), np.zeros((num_steps * dim,) * 2)
+    assert (value, worst) == _reference_limit_penalty(scene, states, ref_grad, ref_hess)
+    assert value > 0.0 and worst > 0.0
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 50])
+def test_goal_terms_read_the_placement_frames_bitwise(num_steps):
+    # a derivative evaluation hands the end-effector targets the frames of
+    # the placement its states already have; value, gradient and band are
+    # bitwise those of one single-row link_frames call per target
+    scene = _two_robot_scene(num_steps)
+    targets = [
+        EETarget(step, r, link, [0.1, -0.05, 0.2], [0.5, 0.3, 0.4], weight)
+        for r, robot in enumerate(scene.robots)
+        for step, link, weight in ((num_steps, robot.n, 7.0), (1, robot.n // 2, 0.3))
+    ]
+    scene = dataclasses.replace(scene, objectives=Objectives(ee_targets=targets))
+    states = _random_states(scene, 18, num_steps)
+    placement = place_states(scene, states)
+    single, _, _ = _seeded_accumulator(num_steps, states.shape[1], 19)
+    placed, _, _ = _seeded_accumulator(num_steps, states.shape[1], 19)
+    value = trajopt._goal_terms(scene, states, single)
+    assert value > 0.0
+    assert trajopt._goal_terms(scene, states, placed, placement) == value
+    assert np.array_equal(placed.grad, single.grad)
+    assert np.array_equal(placed.band, single.band)
+    no_derivs = trajopt._Accumulator(num_steps, states.shape[1], False)
+    assert trajopt._goal_terms(scene, states, no_derivs, placement) == value
 
 
 @pytest.mark.parametrize("num_steps", [1, 2, 3, 50])

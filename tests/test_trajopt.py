@@ -256,10 +256,10 @@ def test_broad_phase_is_conservative():
 
 def test_evaluate_places_each_step_once(monkeypatch):
     # the broad phase and the collision term share one placement of all steps,
-    # made with one batched link_frames call per robot; each end-effector
-    # target takes its frames from one single-row call on its own step, so
-    # the cheap terms read only the states; the scene's pair lists are built
-    # once
+    # made with one batched link_frames call per robot; a derivative
+    # evaluation makes no link_frames call of its own: each end-effector
+    # target reads its step's frames from that placement; the scene's pair
+    # lists are built once
     scene = load_scene(scene_text("arm7_box"))
     calls = []
     original = trajopt.link_frames
@@ -274,7 +274,7 @@ def test_evaluate_places_each_step_once(monkeypatch):
     _evaluate(scene, states, lanes, True)
     assert len(lanes.step)  # the collision term has pairs to solve
     assert len(scene.robots) == len(scene.objectives.ee_targets) == 1
-    assert calls == [len(states), "row"]
+    assert calls == [len(states)]
     assert scene.primitive_refs() is scene.primitive_refs()
     assert scene.candidate_pairs() is scene.candidate_pairs()
 
@@ -340,6 +340,47 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
     assert calls["_limit_penalty"] == 1 + trials + report.num_iterations
     assert (cheap_rejects > 0) == rejects and bound_rejects > 0
     assert all(0 <= stats.cheap_rejects + stats.bound_rejects <= stats.trials for stats in report.iterations)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e3])
+@pytest.mark.parametrize("name", ["two_sphere_swap", "two_box_swap", "arm7_box"])
+def test_banded_solve_in_place_is_bitwise_scipys_default(name, lam):
+    # solveh_banded factors _to_banded's Fortran-ordered copy in place; the
+    # direction is bitwise that of scipy's default call on a C-ordered copy,
+    # and the assembled band is left as it was for a retry at another damping
+    from scipy.linalg import solveh_banded as scipy_solveh_banded
+
+    scene = load_scene(scene_text(name))
+    states = default_trajectory(scene).states
+    _, acc, _, _ = _evaluate(scene, states, solved_lanes(scene, states), True)
+    assembled = acc.band.copy()
+    rhs = -acc.grad.ravel()
+    ab = trajopt._to_banded(acc.band, lam)
+    assert ab.flags.f_contiguous
+    damped = ab.copy()
+    direction = trajopt.solveh_banded(ab, rhs, lower=False)
+    c_ordered = assembled.copy(order="C")
+    c_ordered[-1] += lam
+    assert c_ordered.flags.c_contiguous and np.array_equal(c_ordered, damped)
+    expected = scipy_solveh_banded(c_ordered, rhs, lower=False)
+    assert np.array_equal(direction, expected)
+    assert not np.array_equal(ab, damped)  # the copy now holds the factor
+    assert np.array_equal(acc.band, assembled)
+    assert np.array_equal(rhs, -acc.grad.ravel())
+
+
+def test_banded_solve_faults_few_pages_per_iteration():
+    # the outer step factors its band in the copy _to_banded makes, so a warm
+    # solve maps almost no fresh pages: about 10 minor faults per outer
+    # iteration on arm7_box, where an extra copy of the (39, 2080) band per
+    # Newton step took over 300
+    resource = pytest.importorskip("resource")
+    scene = load_scene(scene_text("arm7_box"))
+    solve(scene)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, report = solve(scene)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100 * report.num_iterations
 
 
 def test_collision_penalty_separated_pairs():
