@@ -487,17 +487,54 @@ def format_float(v: float) -> str:
 
 
 def parse_trajectory_csv(text: str, scene: Scene) -> Trajectory:
-    """Inverse of the CSV export (exact decimal round trip)."""
-    records = [cells for cells in csv.reader(io.StringIO(text, newline="")) if "".join(cells).strip()]
+    """Inverse of the CSV export (exact decimal round trip).
+
+    After the header, every (step, robot) with step in 1..N needs exactly one
+    row: step, time, robot name, the robot's dim coordinates as finite
+    numbers, then only empty cells. Anything else raises a SceneError that
+    names the line, or the (step, robot) whose row is missing.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records, line = [], 1  # each non-blank record with the line it starts on
+    try:
+        for cells in reader:
+            if "".join(cells).strip():
+                records.append((line, cells))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise SceneError(f"line {reader.line_num}: {exc}") from None
+    if not records:
+        raise SceneError("trajectory CSV is empty: expected a header and one row per step and robot")
     by_name = {r.name: k for k, r in enumerate(scene.robots)}
-    rows: dict[int, np.ndarray] = {}
-    for cells in records[1:]:
-        step = int(cells[0])
-        r = by_name[cells[2]]
-        robot = scene.robots[r]
-        values = [float(c) for c in cells[3 : 3 + robot.dim]]
-        row = rows.setdefault(step, np.zeros(scene.dim_total))
+    states = np.zeros((scene.num_steps, scene.dim_total))
+    seen = set()
+    for line, cells in records[1:]:
+        try:
+            step = int(cells[0])
+        except ValueError:
+            step = 0
+        if not 1 <= step <= scene.num_steps:
+            raise SceneError(f"line {line}: step {cells[0]!r} is not an integer in 1..{scene.num_steps}")
+        name = cells[2] if len(cells) > 2 else ""
+        if name not in by_name:
+            raise SceneError(f"line {line}: unknown robot {name!r}")
+        r = by_name[name]
+        if (step, r) in seen:
+            raise SceneError(f"line {line}: a second row for robot {name!r} at step {step}")
+        seen.add((step, r))
+        dim = scene.robots[r].dim
+        try:
+            values = [float(c) for c in cells[3 : 3 + dim]]
+        except ValueError:
+            values = []
+        if len(values) != dim or not all(math.isfinite(v) for v in values):
+            raise SceneError(f"line {line}: robot {name!r} needs {dim} finite coordinates, got {cells[3 : 3 + dim]}")
+        if any(c.strip() for c in cells[3 + dim :]):
+            raise SceneError(f"line {line}: robot {name!r} has {dim} coordinates; the cells after them must be empty")
         off = scene.robot_offsets[r]
-        row[off : off + robot.dim] = values
-    states = np.stack([rows[s] for s in sorted(rows)])
+        states[step - 1, off : off + dim] = values
+    for step in range(1, scene.num_steps + 1):
+        for r, robot in enumerate(scene.robots):
+            if (step, r) not in seen:
+                raise SceneError(f"trajectory CSV has no row for robot {robot.name!r} at step {step}")
     return Trajectory(states, scene.h)

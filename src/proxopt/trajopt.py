@@ -10,23 +10,24 @@ iteration's minimizers.
 Every primitive is an anchor plus 0-3 vectors, so `place_states` places all
 primitives at all N steps into fixed-shape arrays in one pass, and the broad
 phase tests all steps and candidate pairs in one array operation. Every kept
-(step, pair) is then one lane of the same small minimization, and the lanes
-of one (La, Lb) shape are solved together by `distance.solve_lanes` when the
-lanes are built (`_pack_lanes`). Each state the solver places is evaluated,
-and its lanes solved, once: the line-search trial that placed it (the start
-counts as one) hands its solved lanes to the derivative evaluation and the
-report. A lane whose penalty is active gets its gradient from one small
-adjoint solve, taken back through its robot's chain as a wrench
-(`_lane_gradient`). `validate` certifies every (step, pair) on cold lanes,
-with one `distance.certify_lanes` call per (La, Lb) group.
+(step, pair) is then one lane of the same small minimization. One `_Lanes`
+object gathers a placed state's lanes by (La, Lb) shape, and its `solve`
+runs one `distance.solve_lanes` call per shape, writing each t* in place.
+Each state the solver places is evaluated, and its lanes solved, once: the
+line-search trial that placed it (the start counts as one) hands its solved
+lanes to the derivative evaluation and the report. A lane whose penalty is
+active gets its gradient from one small adjoint solve, taken back through
+its robot's chain as a wrench (`_lane_gradient`). `validate` certifies every
+(step, pair) on cold lanes, with one `distance.certify_lanes` call per
+(La, Lb) group.
 
 A line-search trial is rejected as soon as a lower bound on its value fails
 the Armijo test: first its smoothness, goal and limit terms, before it is
 placed, then those plus a collision floor, before its lanes are solved. The
 floor takes each kept lane's inner objective U at its warm start, which
 bounds the lane's d_sq from above (`_collision_floor`), with a relative
-slack of FLOOR_SLACK on U and on the sum against rounding. A placed trial
-gathers its kept lanes once (`_KeptLanes`), for the floor and the solves.
+slack of FLOOR_SLACK on U and on the sum against rounding. The floor reads
+the starts of the trial's `_Lanes` before `_Lanes.solve` overwrites them.
 """
 
 from __future__ import annotations
@@ -378,30 +379,63 @@ def place_states(scene: Scene, states: np.ndarray) -> Placement:
 
 
 class _Lanes:
-    """The kept lanes of one state array, solved: its placement, and each lane's (step, slot) and inner solution.
+    """The kept lanes of one placed state array: gathered when built, then solved in place by `solve`.
 
     Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
-    of np.nonzero over the broad phase's kept mask. t[k, :La + Lb] is its t*
-    (the rest of the row is its warm-start entry's), d_sq[k] its squared
-    distance, closest_a[k] and closest_b[k] its closest points, solved[k]
-    whether it converged to a finite d_sq and clearance[k] its distance minus
-    margin_sum[k]. (Plain classes, not dataclasses, so that importing the
-    package does not pay for generating their methods.)
+    of np.nonzero over the broad phase's kept mask, and margin_sum[k] is the
+    sum of its two margins. t[k] starts as its entry in the warm-start store
+    (a copy), which the collision floor reads, and `solve` writes its t* into
+    t[k, :La + Lb]. `groups` holds (group, la, lb, anchor_a, vectors_a,
+    anchor_b, vectors_b) for each non-empty (La, Lb) group: `group` indexes
+    its lanes, and the four arrays, read straight from the placement arrays,
+    are solve_lanes' first four arguments for those lanes. After `solve`,
+    d_sq[k] is the lane's squared distance, closest_a[k] and closest_b[k] its
+    closest points, solved[k] whether it converged to a finite d_sq and
+    clearance[k] its distance minus margin_sum[k]. (A plain class, not a
+    dataclass, so that importing the package does not pay for generating
+    its methods.)
     """
 
-    __slots__ = ("placement", "step", "slot", "margin_sum", "t", "d_sq", "closest_a", "closest_b", "solved", "clearance")
+    __slots__ = (
+        "placement", "step", "slot", "margin_sum", "groups",
+        "t", "d_sq", "closest_a", "closest_b", "solved", "clearance",
+    )
 
-    def __init__(self, placement: Placement, step, slot, margin_sum, t, d_sq, closest_a, closest_b, solved):
-        self.placement = placement
-        self.step = step  # (n,)
-        self.slot = slot  # (n,) index into scene.candidate_pairs()
-        self.margin_sum = margin_sum  # (n,)
-        self.t = t  # (n, 6)
-        self.d_sq = d_sq  # (n,)
-        self.closest_a = closest_a  # (n, 3)
-        self.closest_b = closest_b  # (n, 3)
-        self.solved = solved  # (n,)
-        self.clearance = np.sqrt(d_sq) - margin_sum  # (n,)
+    def __init__(self, scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray):
+        margins, first, second = scene._bounds_index
+        group_of, shapes = scene._lane_index
+        step, slot = np.nonzero(kept)
+        self.placement, self.step, self.slot = placement, step, slot
+        self.margin_sum = margins[first[slot]] + margins[second[slot]]
+        self.t = warm[step, slot]  # (n, 6)
+        gid = group_of[slot]
+        self.groups = []
+        for g, (la, lb) in enumerate(shapes):
+            group = np.flatnonzero(gid == g)
+            if not len(group):
+                continue
+            i, a, b = step[group], first[slot[group]], second[slot[group]]
+            self.groups.append((
+                group, la, lb,
+                placement.anchors[i, a], placement.vectors[i, a, :la],
+                placement.anchors[i, b], placement.vectors[i, b, :lb],
+            ))
+
+    def solve(self, scene: Scene) -> _Lanes:
+        """Solve every lane from its start, with one solve_lanes call per (La, Lb) group.
+
+        A failed lane is marked in `solved`, and _collision_penalty raises for it.
+        """
+        n = len(self.step)
+        self.d_sq, self.closest_a, self.closest_b = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
+        self.solved = np.empty(n, dtype=bool)
+        for group, la, lb, *pair in self.groups:
+            res = solve_lanes(*pair, self.t[group, : la + lb], scene.inner)
+            self.t[group, : la + lb] = res.t_star
+            self.d_sq[group], self.closest_a[group], self.closest_b[group] = res.d_sq, res.closest_a, res.closest_b
+            self.solved[group] = res.converged & np.isfinite(res.d_sq)
+        self.clearance = np.sqrt(self.d_sq) - self.margin_sum
+        return self
 
     @property
     def min_clearance(self) -> float:
@@ -417,61 +451,8 @@ def _cold_starts(scene: Scene, num_steps: int) -> np.ndarray:
     return np.full((num_steps, len(scene.candidate_pairs()), 6), 0.5)
 
 
-class _KeptLanes:
-    """The kept lanes of a placement, gathered once for the collision floor and the lane solves.
-
-    Lane k is candidate pair slot[k] at step[k], in (step, slot) order: that
-    of np.nonzero over the broad phase's kept mask. start[k] is its entry in
-    the warm-start store (a copy) and margin_sum[k] the sum of its two
-    margins. `groups` holds (lanes, la, lb, anchor_a, vectors_a, anchor_b,
-    vectors_b) for each non-empty (La, Lb) group: `lanes` indexes step and
-    slot, and the four arrays, read straight from the placement arrays, are
-    solve_lanes' first four arguments for those lanes.
-    """
-
-    __slots__ = ("placement", "step", "slot", "margin_sum", "start", "groups")
-
-    def __init__(self, scene: Scene, placement: Placement, kept: np.ndarray, warm: np.ndarray):
-        margins, first, second = scene._bounds_index
-        group_of, shapes = scene._lane_index
-        step, slot = np.nonzero(kept)
-        self.placement, self.step, self.slot = placement, step, slot
-        self.margin_sum = margins[first[slot]] + margins[second[slot]]
-        self.start = warm[step, slot]
-        gid = group_of[slot]
-        self.groups = []
-        for g, (la, lb) in enumerate(shapes):
-            lanes = np.flatnonzero(gid == g)
-            if not len(lanes):
-                continue
-            i, a, b = step[lanes], first[slot[lanes]], second[slot[lanes]]
-            self.groups.append((
-                lanes, la, lb,
-                placement.anchors[i, a], placement.vectors[i, a, :la],
-                placement.anchors[i, b], placement.vectors[i, b, :lb],
-            ))
-
-
-def _pack_lanes(scene: Scene, kept: _KeptLanes) -> _Lanes:
-    """Solve every kept lane, started from its entry in the warm-start store.
-
-    The lanes of one (La, Lb) shape are solved in one solve_lanes call. A
-    failed lane is marked in `solved`, and _collision_penalty raises for it.
-    """
-    n = len(kept.step)
-    t = kept.start.copy()
-    d_sq, closest_a, closest_b = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
-    ok = np.empty(n, dtype=bool)
-    for lanes, la, lb, *pair in kept.groups:
-        res = solve_lanes(*pair, t[lanes, : la + lb], scene.inner)
-        t[lanes, : la + lb] = res.t_star
-        d_sq[lanes], closest_a[lanes], closest_b[lanes] = res.d_sq, res.closest_a, res.closest_b
-        ok[lanes] = res.converged & np.isfinite(res.d_sq)
-    return _Lanes(kept.placement, kept.step, kept.slot, kept.margin_sum, t, d_sq, closest_a, closest_b, ok)
-
-
-def _collision_floor(scene: Scene, kept: _KeptLanes) -> float:
-    """A lower bound on the collision term of the kept lanes, from their starts, with no Newton step.
+def _collision_floor(scene: Scene, lanes: _Lanes) -> float:
+    """A lower bound on the collision term of unsolved lanes, from their starts in `lanes.t`, with no Newton step.
 
     A lane's inner solve starts at its warm entry t0 and minimizes
     U(t) = d²(t) + w_reg·‖t − ½‖² + w_con·barrier(t), whose last two terms
@@ -484,10 +465,10 @@ def _collision_floor(scene: Scene, kept: _KeptLanes) -> float:
     1 − FLOOR_SLACK, which covers it where U(t0) << m². A NaN U(t0) makes
     the floor NaN, which rejects nothing: the lane's solve reports it.
     """
-    u = np.empty(len(kept.step))
-    for lanes, la, lb, *pair in kept.groups:
-        u[lanes] = lane_objective(*pair, kept.start[lanes, : la + lb], scene.inner)
-    m = kept.margin_sum
+    u = np.empty(len(lanes.step))
+    for group, la, lb, *pair in lanes.groups:
+        u[group] = lane_objective(*pair, lanes.t[group, : la + lb], scene.inner)
+    m = lanes.margin_sum
     gap = np.maximum(m * m - (1.0 + FLOOR_SLACK) * u, 0.0)
     return (1.0 - FLOOR_SLACK) * scene.objectives.w_collision * float((gap * gap).sum())
 
@@ -820,7 +801,7 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
     acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     kept = np.array([[pair in row for pair in scene.candidate_pairs()] for row in active], dtype=bool)
     placement = place_states(scene, traj.states)
-    lanes = _pack_lanes(scene, _KeptLanes(scene, placement, kept, _cold_starts(scene, traj.num_steps)))
+    lanes = _Lanes(scene, placement, kept, _cold_starts(scene, traj.num_steps)).solve(scene)
     value, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
     return value, acc.grad.ravel(), _dense_hessian(acc)
 
@@ -842,7 +823,7 @@ def _cheap_terms(scene: Scene, states, acc: _Accumulator, placement: Optional[Pl
 def _evaluate(scene: Scene, states, lanes: _Lanes, need_derivs: bool, cheap: Optional[tuple[float, float]] = None):
     """Objective over the stacked trajectory; returns (value, acc, min_clearance, max_violation).
 
-    `lanes` are the solved lanes of `states` (_pack_lanes), whose broad phase
+    `lanes` are the solved lanes of `states` (_Lanes.solve), whose broad phase
     makes the value exact: culled pairs have bounding separation
     > slack >= 0, hence positive clearance and zero penalty. (A pair set
     frozen across a line search would make trial values incomparable and can
@@ -864,26 +845,26 @@ def _line_search_trial(scene: Scene, states, bound: float, slack: float, warm: n
     Returns (value, lanes, rejected). Smoothness + goal + limit read only the
     states. If their sum is already above the Armijo `bound`, the full value
     is too, so the trial is rejected with its partial sum, lanes None and
-    `rejected` "cheap": it is not placed, and no lanes are culled, packed or
-    solved. Otherwise the trial is placed once and its lanes are culled, and
-    the partial sum plus the collision floor of the kept lanes (a lower bound
-    on the collision term from their warm starts, _collision_floor) is tested
-    the same way: above `bound`, the trial is rejected with that sum, lanes
-    None and `rejected` "bound", before any lane is solved. (A NaN sum is not
-    above the bound and goes on.) Otherwise its lanes are solved from that
-    placement, _evaluate adds the collision term to the partial sum, and
-    `rejected` is None. With `bound` inf, the trial cannot be rejected.
+    `rejected` "cheap": it is not placed, and no lanes are culled, gathered
+    or solved. Otherwise the trial is placed once and its lanes are culled
+    and gathered into one _Lanes, and the partial sum plus their collision
+    floor (a lower bound on the collision term from their warm starts,
+    _collision_floor) is tested the same way: above `bound`, the trial is
+    rejected with that sum, lanes None and `rejected` "bound", before any
+    lane is solved. (A NaN sum is not above the bound and goes on.)
+    Otherwise _Lanes.solve solves the lanes in place, _evaluate adds the
+    collision term to the partial sum, and `rejected` is None. With `bound`
+    inf, the trial cannot be rejected.
     """
     cheap = _cheap_terms(scene, states, _Accumulator(len(states), states.shape[1], False))
     if cheap[0] > bound:
         return cheap[0], None, "cheap"
     placement = place_states(scene, states)
-    kept = _KeptLanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
-    lower = cheap[0] + _collision_floor(scene, kept)
+    lanes = _Lanes(scene, placement, broad_phase_rows(scene, placement, slack), warm)
+    lower = cheap[0] + _collision_floor(scene, lanes)
     if lower > bound:
         return lower, None, "bound"
-    lanes = _pack_lanes(scene, kept)
-    return _evaluate(scene, states, lanes, False, cheap)[0], lanes, None
+    return _evaluate(scene, states, lanes.solve(scene), False, cheap)[0], lanes, None
 
 
 def _to_banded(band: np.ndarray, lam: float) -> np.ndarray:
@@ -1001,17 +982,16 @@ def solve(
         value, acc, min_clear, max_viol = _evaluate(scene, states, lanes, True)
         grad_flat = acc.grad.ravel()
         grad_inf = float(np.abs(grad_flat).max()) if grad_flat.size else 0.0
-        num_active = len(lanes.step)
-
+        # the line search counts its trials here; damping and alpha are set when the iteration ends
+        stats = IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, len(lanes.step), 0, 0, 0)
+        history.append(stats)
         if grad_inf <= s.grad_tol:
-            history.append(IterationStats(value, grad_inf, lam, 0.0, min_clear, max_viol, num_active, 0, 0, 0))
             converged, reason = True, "grad_tol"
             break
 
         # scipy rejects a non-finite system, and no damping makes it finite
         finite = bool(np.isfinite(grad_flat).all() and np.isfinite(acc.band).all())
         accepted = False
-        trials = cheap_rejects = bound_rejects = 0
         while not accepted:
             # A failed factorization, a non-finite system or a non-descent
             # direction raises the damping; so does a failed line search.
@@ -1032,10 +1012,10 @@ def solve(
                     cand_value, cand_lanes, rejected = _line_search_trial(
                         scene, cand, bound, s.broad_phase_slack, warm
                     )
-                    trials += 1
+                    stats.trials += 1
                     # a rejected trial's cand_value is a lower bound on its value, above `bound`
-                    cheap_rejects += rejected == "cheap"
-                    bound_rejects += rejected == "bound"
+                    stats.cheap_rejects += rejected == "cheap"
+                    stats.bound_rejects += rejected == "bound"
                     if cand_value <= bound:
                         states, lanes = cand, cand_lanes
                         lanes.keep_starts(warm)
@@ -1045,19 +1025,10 @@ def solve(
             if not accepted:
                 lam *= DAMPING_FACTOR
                 if lam > DAMPING_MAX:
-                    history.append(
-                        IterationStats(
-                            value, grad_inf, lam, 0.0, min_clear, max_viol, num_active,
-                            trials, cheap_rejects, bound_rejects,
-                        )
-                    )
+                    stats.damping = lam
                     return Trajectory(states, scene.h), SolveReport(history, False, failure, value, min_clear)
 
-        history.append(
-            IterationStats(
-                value, grad_inf, lam, alpha, min_clear, max_viol, num_active, trials, cheap_rejects, bound_rejects
-            )
-        )
+        stats.damping, stats.alpha = lam, alpha
         # Trust-region style damping update: only relax when the full step was
         # good; a step accepted after heavy backtracking means the quadratic
         # model is poor, so stiffen instead.
@@ -1126,13 +1097,14 @@ class ValidationReport:
 def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     """Post-hoc audit: certified clearances for every pair, plus all limit values.
 
-    Every candidate pair at every step is a lane solved cold by _pack_lanes.
-    certify_lanes turns the t* of each (La, Lb) group's lanes, in one call,
-    into certified lower bounds on their squared distances, which keep each
-    reported clearance at or below the true one (up to rounding), converged
-    or not. A clearance is the bound's square root minus one margin, then
-    the other. A step's minimum is its first lowest clearance in pair order,
-    or its first NaN one, and every clearance below 0 or NaN is a violation.
+    Every candidate pair at every step is a cold lane of one _Lanes, solved
+    by _Lanes.solve. certify_lanes turns the t* of each of its (La, Lb)
+    groups, in one call, into certified lower bounds on their squared
+    distances, which keep each reported clearance at or below the true one
+    (up to rounding), converged or not. A clearance is the bound's square
+    root minus one margin, then the other. A step's minimum is its first
+    lowest clearance in pair order, or its first NaN one, and every
+    clearance below 0 or NaN is a violation.
     """
     if traj.states.shape[1] != scene.dim_total:
         raise ValueError(f"trajectory has {traj.states.shape[1]} columns, the scene {scene.dim_total}")
@@ -1140,10 +1112,9 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     pairs = scene.candidate_pairs()
     placement = place_states(scene, traj.states)
     every_pair = np.ones((traj.num_steps, len(pairs)), dtype=bool)
-    kept = _KeptLanes(scene, placement, every_pair, _cold_starts(scene, traj.num_steps))
-    lanes = _pack_lanes(scene, kept)
+    lanes = _Lanes(scene, placement, every_pair, _cold_starts(scene, traj.num_steps)).solve(scene)
     lower_sq = np.empty(len(lanes.step))
-    for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in kept.groups:
+    for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in lanes.groups:
         rows = np.concatenate([vectors_a, -vectors_b], axis=1)
         lower_sq[group] = certify_lanes(anchor_a - anchor_b, rows, lanes.t[group, : la + lb])[0]
     margins, first, second = scene._bounds_index

@@ -342,9 +342,9 @@ def test_the_collision_floor_is_a_lower_bound_on_every_trial(name, monkeypatch):
             return got
         placement = place_states(scene, states)
         kept = broad_phase_rows(scene, placement, slack)
-        gathered = trajopt._KeptLanes(scene, placement, kept, warm)
-        floor = trajopt._collision_floor(scene, gathered)
-        lanes = trajopt._pack_lanes(scene, gathered)
+        lanes = trajopt._Lanes(scene, placement, kept, warm)
+        floor = trajopt._collision_floor(scene, lanes)
+        lanes.solve(scene)
         collision = trajopt._collision_penalty(scene, states, lanes, no_derivs)[0]
         full = trajopt._evaluate(scene, states, lanes, False, cheap)[0]
         if got[2] == "bound":
@@ -574,10 +574,10 @@ def test_certify_lanes_equals_the_reference_on_every_lane_of_the_scenes(name):
     unconverged = 0
     for scene, states in ((scene, solved.states), (one_step, trajopt.default_trajectory(scene).states)):
         every_pair = np.ones((len(states), len(scene.candidate_pairs())), dtype=bool)
-        kept = trajopt._KeptLanes(scene, place_states(scene, states), every_pair, trajopt._cold_starts(scene, len(states)))
-        lanes = trajopt._pack_lanes(scene, kept)
+        cold = trajopt._cold_starts(scene, len(states))
+        lanes = trajopt._Lanes(scene, place_states(scene, states), every_pair, cold).solve(scene)
         unconverged += int((~lanes.solved).sum())
-        for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in kept.groups:
+        for group, la, lb, anchor_a, vectors_a, anchor_b, vectors_b in lanes.groups:
             rows = np.concatenate([vectors_a, -vectors_b], axis=1)
             _assert_certify_equals_reference(anchor_a - anchor_b, rows, lanes.t[group, : la + lb])
     assert unconverged > 0 or name == "two_sphere_swap"  # sphere lanes take no Newton step
@@ -635,9 +635,8 @@ def test_validate_certifies_lanes_that_do_not_converge(name):
     scene = dataclasses.replace(load_scene(scene_text(name)), inner=InnerSettings(max_iters=1))
     states = trajopt.default_trajectory(scene).states
     kept = np.ones((len(states), len(scene.candidate_pairs())), dtype=bool)
-    lanes = trajopt._pack_lanes(
-        scene, trajopt._KeptLanes(scene, place_states(scene, states), kept, trajopt._cold_starts(scene, len(states)))
-    )
+    cold = trajopt._cold_starts(scene, len(states))
+    lanes = trajopt._Lanes(scene, place_states(scene, states), kept, cold).solve(scene)
     assert not lanes.solved.all()
     _assert_validate_equals_reference(scene, states)
 
@@ -689,7 +688,7 @@ def test_collision_gradient_equals_the_pair_derivatives_reference():
         kept = np.ones((num_steps, len(scene.candidate_pairs())), dtype=bool)
         kinds |= _hit_kinds(scene, states, active)
         cold = trajopt._cold_starts(scene, num_steps)
-        lanes = trajopt._pack_lanes(scene, trajopt._KeptLanes(scene, place_states(scene, states), kept, cold))
+        lanes = trajopt._Lanes(scene, place_states(scene, states), kept, cold).solve(scene)
         acc = _Accumulator(num_steps, states.shape[1], True)
         got = trajopt._collision_penalty(scene, states, lanes, acc)
         ref_acc = _Accumulator(num_steps, states.shape[1], True)

@@ -217,6 +217,72 @@ def test_a_robot_name_with_a_bare_carriage_return_round_trips():
     assert sum("a\rb" in line for line in lines) == named.num_steps
 
 
+def _edit_csv_line(lines, number, edit):
+    """`lines` with line `number` (1-based) replaced by edit(its cells); None drops the line."""
+    cells = edit(lines[number - 1].split(","))
+    return lines[: number - 1] + ([",".join(cells)] if cells is not None else []) + lines[number:]
+
+
+@pytest.mark.parametrize(
+    "number,edit,message",
+    [
+        (5, lambda c: c[:5] + ["nan"] + c[6:], "^line 5: robot 'b' needs 6 finite coordinates"),
+        (5, lambda c: c[:5] + ["inf"] + c[6:], "^line 5: robot 'b' needs 6 finite coordinates"),
+        (5, lambda c: c[:5] + ["x"] + c[6:], "^line 5: robot 'b' needs 6 finite coordinates"),
+        (5, lambda c: c[:7], "^line 5: robot 'b' needs 6 finite coordinates"),
+        (5, lambda c: c + ["1.0"], "^line 5: robot 'b' has 6 coordinates; the cells after them must be empty"),
+        (5, lambda c: c[:2] + ["c"] + c[3:], "^line 5: unknown robot 'c'"),
+        (5, lambda c: c[:2], "^line 5: unknown robot ''"),
+        (5, lambda c: ["1.5"] + c[1:], "^line 5: step '1.5' is not an integer in 1..50"),
+        (5, lambda c: ["51"] + c[1:], "^line 5: step '51' is not an integer in 1..50"),
+        (5, lambda c: ["1"] + c[1:], "^line 5: a second row for robot 'b' at step 1"),
+        (4, lambda c: None, "^trajectory CSV has no row for robot 'a' at step 2$"),
+        (101, lambda c: None, "^trajectory CSV has no row for robot 'b' at step 50$"),
+    ],
+)
+def test_parse_trajectory_csv_names_the_line_of_a_malformed_row(number, edit, message):
+    # two_box_swap: a header, then robots a and b at each of 50 steps, so
+    # step i's rows are lines 2i and 2i + 1
+    scene = load_scene(scene_text("two_box_swap"))
+    traj = Trajectory(np.zeros((scene.num_steps, scene.dim_total)), scene.h)
+    lines = export_trajectory(traj, scene, "csv").splitlines()
+    assert lines[4].startswith("2,") and lines[4].split(",")[2] == "b" and len(lines) == 101
+    with pytest.raises(SceneError, match=message):
+        parse_trajectory_csv("\n".join(_edit_csv_line(lines, number, edit)), scene)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "step,time,robot\n"])
+def test_parse_trajectory_csv_rejects_an_empty_trajectory(text):
+    scene = load_scene(scene_text("two_box_swap"))
+    match = "no row for robot 'a' at step 1$" if text.startswith("step") else "^trajectory CSV is empty"
+    with pytest.raises(SceneError, match=match):
+        parse_trajectory_csv(text, scene)
+
+
+def test_parse_trajectory_csv_names_the_line_of_an_unreadable_record():
+    # the csv reader refuses a cell past its field size limit
+    scene = load_scene(scene_text("two_box_swap"))
+    with pytest.raises(SceneError, match="^line 3: field larger than field limit"):
+        parse_trajectory_csv("step,time,robot\n\n1,0.0,a," + "1" * 200_000, scene)
+
+
+def test_parse_trajectory_csv_counts_lines_inside_quoted_names():
+    # a robot name with a line break spans two lines, so the row after it
+    # starts one line later than its record number
+    doc = json.loads(scene_text("two_box_swap"))
+    doc["robots"][0]["name"] = "two\nlines"
+    for target in doc["objectives"]["state_targets"]:
+        if target["robot"] == "a":
+            target["robot"] = "two\nlines"
+    named = scene_from_dict(doc)
+    text = export_trajectory(Trajectory(np.zeros((named.num_steps, named.dim_total)), named.h), named, "csv")
+    lines = text.splitlines()
+    assert lines[2].startswith('lines"') and lines[3].startswith("1,") and lines[3].split(",")[2] == "b"
+    lines = _edit_csv_line(lines, 4, lambda c: c[:3] + ["nan"] + c[4:])
+    with pytest.raises(SceneError, match="^line 4: robot 'b' needs 6 finite coordinates"):
+        parse_trajectory_csv("\n".join(lines), named)
+
+
 def test_export_structured_with_clearances():
     scene = load_scene(scene_text("spheres_static"))
     traj = Trajectory(scene.initial_row()[None, :], scene.h)

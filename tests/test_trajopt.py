@@ -309,11 +309,11 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(trajopt, attr, counted)
-    pack, evaluate = trajopt._pack_lanes, trajopt._evaluate
+    solve_built, evaluate = trajopt._Lanes.solve, trajopt._evaluate
 
-    def counted_pack(scene, kept):
-        groups.append(len(set(scene._lane_index[0][kept.slot].tolist())))
-        return pack(scene, kept)
+    def counted_solve(lanes, scene):
+        groups.append(len(set(scene._lane_index[0][lanes.slot].tolist())))
+        return solve_built(lanes, scene)
 
     def counted_evaluate(scene, states, lanes, need_derivs, *rest):
         in_derivs[0] = need_derivs
@@ -325,7 +325,7 @@ def test_solve_places_each_trial_once_and_tests_its_cheap_terms_first(name, reje
         evaluated.append((states.copy(), result[0], result[2]))
         return result
 
-    monkeypatch.setattr(trajopt, "_pack_lanes", counted_pack)
+    monkeypatch.setattr(trajopt._Lanes, "solve", counted_solve)
     monkeypatch.setattr(trajopt, "_evaluate", counted_evaluate)
     traj, report = solve(scene)
     trials = sum(stats.trials for stats in report.iterations)
@@ -627,15 +627,30 @@ def test_solve_stops_with_damping_overflow():
 
 
 def test_solve_stops_with_line_search_failure(monkeypatch):
-    # no trial step at all, and the first raise of the damping passes DAMPING_MAX
-    monkeypatch.setattr(trajopt, "LS_MAX_HALVINGS", 0)
-    monkeypatch.setattr(trajopt, "DAMPING_MAX", 1e-8)
+    # every trial is a cheap reject, so each damping retry makes two trials
+    # and fails, and the fourth raise of the damping passes DAMPING_MAX; the
+    # failing row counts the trials of every retry
+    monkeypatch.setattr(trajopt, "LS_MAX_HALVINGS", 2)
+    monkeypatch.setattr(trajopt, "DAMPING_MAX", 1e-5)
+    original, calls = trajopt._line_search_trial, [0]
+
+    def rejected(scene, states, bound, slack, warm):
+        if bound == math.inf:  # the start, which cannot be rejected
+            return original(scene, states, bound, slack, warm)
+        calls[0] += 1
+        return math.inf, None, "cheap"
+
+    monkeypatch.setattr(trajopt, "_line_search_trial", rejected)
     scene = load_scene(scene_text("two_sphere_swap"))
     traj, report = solve(scene)
     assert not report.converged
     assert report.reason == "line_search_failure"
     assert report.num_iterations == 1
     assert np.array_equal(traj.states, default_trajectory(scene).states)
+    row = report.iterations[0]
+    assert row.trials == row.cheap_rejects == calls[0] == 2 * 4
+    assert row.bound_rejects == 0
+    assert row.alpha == 0.0 and row.damping > trajopt.DAMPING_MAX
 
 
 def test_a_trial_rejected_on_its_cheap_terms_never_solves_its_lanes(monkeypatch):

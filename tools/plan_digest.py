@@ -4,9 +4,11 @@ The plans are the three planning scenes of tests/scenes (two_sphere_swap,
 two_box_swap, arm7_box) and seeds 0-9 of the benchmark's arm7_plan and
 box_swap_plan scenes, built by perfbench/workloads.py (loaded from its file,
 read only). Each line holds the solve's iteration count and stop reason, the
-final objective as float.hex, the SHA-256 of the final states' bytes and the
-SHA-256 of validate's per-step minimum clearances and clearance and limit
-violations. A change that must not move any plan leaves the output identical:
+final objective as float.hex, the SHA-256 of the final states' bytes, the
+SHA-256 of every field of every IterationStats and the report's minimum
+clearance, and the SHA-256 of validate's per-step minimum clearances,
+clearance and limit violations and certified pair count (floats as
+float.hex throughout). A change that must not move any plan leaves the output identical:
 
     OPENBLAS_NUM_THREADS=1 python tools/plan_digest.py > after.jsonl
 
@@ -16,6 +18,7 @@ The script imports proxopt from the src directory of its own checkout.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -47,13 +50,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _exact(value):
+    return value.hex() if isinstance(value, float) else value
+
+
 def digest(name: str, scene) -> dict:
     traj, report = solve(scene)
     audit = validate(scene, traj)
+    stats = [
+        [[_exact(getattr(row, f.name)) for f in dataclasses.fields(row)] for row in report.iterations],
+        _exact(report.min_clearance),
+    ]
     records = [
         np.asarray(audit.min_clearance_per_step, dtype=float).tobytes().hex(),
         [(v.step, v.pair, v.clearance.hex()) for v in audit.violations],
         [(v.step, v.robot, v.label, v.amount.hex()) for v in audit.limit_violations],
+        audit.certified_pairs,
     ]
     return {
         "plan": name,
@@ -61,6 +73,7 @@ def digest(name: str, scene) -> dict:
         "reason": report.reason,
         "final_objective": report.final_objective.hex(),
         "states_sha256": _sha256(np.ascontiguousarray(traj.states).tobytes()),
+        "stats_sha256": _sha256(json.dumps(stats).encode()),
         "validate_sha256": _sha256(json.dumps(records).encode()),
     }
 
