@@ -208,9 +208,9 @@ def bench_approx(seed: int = 0, counts=range(1, 13), iters: int = 8) -> list[dic
         world = [place(p, Pose.identity()) for p in prims]
         err = hausdorff_to_cube(world, side, seed)
         scene = _approx_scene(prims, side)
-        settings = OuterSettings(max_outer_iters=iters, grad_tol=1e-14, ftol=1e-16)
+        scene.outer = OuterSettings(max_outer_iters=iters, grad_tol=1e-14, ftol=1e-16)
         start = time.perf_counter()
-        _, report = solve(scene, settings=settings)
+        _, report = solve(scene)
         elapsed = time.perf_counter() - start
         iters_run = max(report.num_iterations, 1)
         rows.append(

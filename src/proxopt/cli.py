@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error, 2 non-convergence (trajectory and report
-written) or a failed inner solve (nothing written), 3 derivative-check failure.
+Exit codes: 0 success, 1 input error (usage, scene or output file), 2
+non-convergence (trajectory and report written) or a failed inner solve
+(nothing written), 3 derivative-check failure.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ def _finite(value):
 
 
 def cmd_plan(args) -> int:
-    try:
-        scene = _load_scene_file(args.scene, args.set or [])
-    except (OSError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scene = _load_scene_file(args.scene, args.set or [])
     try:
         traj, report = solve(scene)
     except SolveError as exc:
@@ -88,18 +85,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    try:
-        scene = _load_scene_file(args.scene, args.set or [])
-        name_a, _, name_b = args.pair.partition(":")
-        refs = scene.primitive_refs()
-        by_name = {r.name: k for k, r in enumerate(refs)}
-        if name_a not in by_name or name_b not in by_name:
-            known = ", ".join(sorted(by_name))
-            raise SceneError(f"unknown pair {args.pair!r}; primitives are: {known}")
-    except (OSError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    scene = _load_scene_file(args.scene, args.set or [])
+    name_a, _, name_b = args.pair.partition(":")
+    refs = scene.primitive_refs()
+    by_name = {r.name: k for k, r in enumerate(refs)}
+    if name_a not in by_name or name_b not in by_name:
+        known = ", ".join(sorted(by_name))
+        raise SceneError(f"unknown pair {args.pair!r}; primitives are: {known}")
     placement = place_states(scene, scene.initial_row()[None])
     a, b = by_name[name_a], by_name[name_b]
     res = solve_inner((placement.world(0, a), placement.world(0, b)), scene.inner)
@@ -134,11 +126,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    try:
-        scene = _load_scene_file(args.scene, args.set or [])
-    except (OSError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scene = _load_scene_file(args.scene, args.set or [])
     report = gradcheck_mod.run_gradcheck(scene, seed=args.seed, tol=args.tol)
     print(f"seed: {report.seed}  tolerance: {report.tol:g}")
     for section in report.sections:
@@ -166,8 +154,27 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors; argparse's own 2 means non-convergence here. Subparsers share the class."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _at_least(lowest, convert):
+    """An argparse type: a finite number, read by `convert`, of at least `lowest`."""
+
+    def number(text: str):
+        value = convert(text)
+        if not lowest <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {lowest}, got {text!r}")
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="proxopt",
         description="Differentiable primitive distances and collision-free trajectory optimization.",
     )
@@ -187,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="audit analytic derivatives against finite differences")
     p_grad.add_argument("scene")
-    p_grad.add_argument("--tol", type=float, default=1e-3)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--tol", type=_at_least(0.0, float), default=1e-3)
+    p_grad.add_argument("--seed", type=_at_least(0, int), default=0)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     for p in (p_plan, p_dist, p_grad):
@@ -196,15 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="benchmarks (CSV on stdout)")
     p_bench.add_argument("mode", choices=["pairs", "approx"])
-    p_bench.add_argument("--reps", type=int, default=1000)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--reps", type=_at_least(1, int), default=1000)
+    p_bench.add_argument("--seed", type=_at_least(0, int), default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, SceneError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

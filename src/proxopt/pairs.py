@@ -14,7 +14,7 @@ import numpy as np
 
 from .distance import DEFAULT_INNER, InnerSettings, ProximityResult, solve_inner
 from .poses import Pose
-from .primitives import Kind, PlacementJacobian, Primitive, WorldPrimitive, place, placement_jacobian
+from .primitives import VECTOR_COUNT, Kind, PlacementJacobian, Primitive, WorldPrimitive, place, placement_jacobian
 
 ALL_KINDS = (Kind.SPHERE, Kind.CAPSULE, Kind.RECTANGLE, Kind.BOX)
 KIND_PAIRS = [(a, b) for i, a in enumerate(ALL_KINDS) for b in ALL_KINDS[i:]]
@@ -24,10 +24,6 @@ KIND_PAIRS = [(a, b) for i, a in enumerate(ALL_KINDS) for b in ALL_KINDS[i:]]
 class FreePair:
     prim_a: Primitive
     prim_b: Primitive
-
-    @property
-    def n_x(self) -> int:
-        return 12
 
 
 def unpack_state(x: np.ndarray) -> tuple[Pose, Pose]:
@@ -60,7 +56,7 @@ def solve_pair(
 
 def random_primitive(kind: Kind, rng: np.random.Generator, scale: float = 1.0) -> Primitive:
     """A unit-scale primitive with well-conditioned vectors."""
-    num = {Kind.SPHERE: 0, Kind.CAPSULE: 1, Kind.RECTANGLE: 2, Kind.BOX: 3}[kind]
+    num = VECTOR_COUNT[kind]
     anchor = rng.uniform(-0.3, 0.3, 3) * scale
     while True:
         vectors = rng.uniform(-1.0, 1.0, (num, 3)) * scale

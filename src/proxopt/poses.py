@@ -64,9 +64,6 @@ class Pose:
     def apply(self, point: np.ndarray) -> np.ndarray:
         return self.translation + self.matrix() @ np.asarray(point, dtype=float)
 
-    def rotate(self, vector: np.ndarray) -> np.ndarray:
-        return self.matrix() @ np.asarray(vector, dtype=float)
-
     def compose(self, other: "Pose") -> "Pose":
         """self after other is applied first: (self ∘ other)(p) = self(other(p))."""
         r = self.matrix() @ other.matrix()

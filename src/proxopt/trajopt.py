@@ -62,7 +62,7 @@ class SolveError(RuntimeError):
     pass
 
 
-def solveh_banded(ab, b, lower=False):
+def solveh_banded(ab, b):
     """scipy.linalg.solveh_banded, factoring `ab` in place, with scipy.linalg imported on first use.
 
     `ab` is overwritten by its Cholesky factor. Its one caller passes the
@@ -74,7 +74,7 @@ def solveh_banded(ab, b, lower=False):
     """
     from scipy.linalg import solveh_banded as banded
 
-    return banded(ab, b, overwrite_ab=True, lower=lower)
+    return banded(ab, b, overwrite_ab=True)
 
 
 @dataclass(frozen=True)
@@ -676,26 +676,34 @@ def _stencil_values(states, order: int, columns: np.ndarray, h: float) -> np.nda
     return v
 
 
+def _limit_excess(scene: Scene, states, h: float):
+    """Yields (order, columns, labels, e) for each stencil order of scene._limit_index that limits columns.
+
+    e[k, i], at column k and 0-based step i + order, is the stencil value over
+    `h` minus the bound it passes: 0 within the bounds or at NaN; the upper bound wins.
+    """
+    for order, (columns, lower, upper, labels) in enumerate(scene._limit_index):
+        if len(columns):
+            v = _stencil_values(states, order, columns, h).T  # (column, step)
+            lo, hi = lower[:, None], upper[:, None]
+            yield order, columns, labels, np.where(v > hi, v - hi, np.where(v < lo, v - lo, 0.0))
+
+
 def _limit_penalty(scene: Scene, states, acc: _Accumulator) -> tuple[float, float]:
     """Returns (weighted value, worst raw bound violation).
 
-    Each stencil order is evaluated at all its columns and steps at once. The
-    value adds the violating entries in (column, order, step) order with
-    np.add.accumulate, and each gradient or band element receives its
-    contributions order by order and stencil entry by stencil entry, so the
-    sums round exactly as a loop over every entry would.
+    One-sided quadratic barriers on each stencil order's _limit_excess at
+    scene.h, at all its columns and steps at once. The value adds the
+    violating entries in (column, order, step) order with np.add.accumulate,
+    and each gradient or band element receives its contributions order by
+    order and stencil entry by stencil entry, so the sums round exactly as a
+    loop over every entry would.
     """
     w = scene.objectives.w_limit
     dim = states.shape[1]
     worst = 0.0
     hit_columns, terms = [], []
-    for order, (columns, lower, upper, _) in enumerate(scene._limit_index):
-        if not len(columns):
-            continue
-        v = _stencil_values(states, order, columns, scene.h).T  # (column, step)
-        # One-sided quadratic barriers toward [lo, hi]; the upper bound wins.
-        lo, hi = lower[:, None], upper[:, None]
-        e = np.where(v > hi, v - hi, np.where(v < lo, v - lo, 0.0))
+    for order, columns, _, e in _limit_excess(scene, states, scene.h):
         phi = e * e
         hit = phi != 0.0
         k, i = np.nonzero(hit)
@@ -762,33 +770,29 @@ def _collision_penalty(scene: Scene, states, lanes: _Lanes, acc: _Accumulator):
     return value, lanes.min_clearance, max_violation
 
 
-def _dense_hessian(acc: _Accumulator) -> np.ndarray:
-    """The dense symmetric Hessian whose upper band `acc.band` holds."""
+def _dense_term(traj: Trajectory, add) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, flat gradient, dense symmetric Hessian) of the term `add(acc)` adds to a fresh accumulator over `traj`."""
+    acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
+    value = add(acc)
     n, u = acc.band.shape[1], acc.bandwidth
     hess = np.zeros((n, n))
     for k in range(min(u, n - 1) + 1):
         r = np.arange(n - k)
         hess[r, r + k] = hess[r + k, r] = acc.band[u - k, k:]
-    return hess
+    return value, acc.grad.ravel(), hess
 
 
 def smoothness_term(traj: Trajectory, w_smooth: float):
     """Acceleration penalty with the three-point stencil; quadratic, constant Hessian."""
-    acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value = _smoothness(traj.states, traj.h, w_smooth, acc)
-    return value, acc.grad.ravel(), _dense_hessian(acc)
+    return _dense_term(traj, lambda acc: _smoothness(traj.states, traj.h, w_smooth, acc))
 
 
 def goal_terms(traj: Trajectory, scene: Scene):
-    acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value = _goal_terms(scene, traj.states, acc)
-    return value, acc.grad.ravel(), _dense_hessian(acc)
+    return _dense_term(traj, lambda acc: _goal_terms(scene, traj.states, acc))
 
 
 def limit_penalty(traj: Trajectory, scene: Scene):
-    acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
-    value, _ = _limit_penalty(scene, traj.states, acc)
-    return value, acc.grad.ravel(), _dense_hessian(acc)
+    return _dense_term(traj, lambda acc: _limit_penalty(scene, traj.states, acc)[0])
 
 
 def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[int, int]]]):
@@ -798,12 +802,10 @@ def collision_penalty(traj: Trajectory, scene: Scene, active: list[list[tuple[in
     unknown = {pair for row in active for pair in row} - set(scene.candidate_pairs())
     if unknown:
         raise ValueError(f"not candidate pairs of the scene: {sorted(unknown)}")
-    acc = _Accumulator(traj.num_steps, traj.states.shape[1], True)
     kept = np.array([[pair in row for pair in scene.candidate_pairs()] for row in active], dtype=bool)
     placement = place_states(scene, traj.states)
     lanes = _Lanes(scene, placement, kept, _cold_starts(scene, traj.num_steps)).solve(scene)
-    value, _, _ = _collision_penalty(scene, traj.states, lanes, acc)
-    return value, acc.grad.ravel(), _dense_hessian(acc)
+    return _dense_term(traj, lambda acc: _collision_penalty(scene, traj.states, lanes, acc)[0])
 
 
 def _cheap_terms(scene: Scene, states, acc: _Accumulator, placement: Optional[Placement] = None) -> tuple[float, float]:
@@ -908,45 +910,32 @@ class SolveReport:
 def default_trajectory(scene: Scene) -> Trajectory:
     """Piecewise-linear interpolation through each robot's state targets.
 
-    The initial state anchors step 1; segments between consecutive targets are
-    linear, before/after the anchor range the state is held constant.
+    The initial state anchors step 1 and each target its step (the last given
+    wins). Segments between consecutive anchors are linear, one array pass
+    each, and the last anchor is held from its step on.
     """
-    n = scene.num_steps
-    states = np.empty((n, scene.dim_total))
+    states = np.empty((scene.num_steps, scene.dim_total))
     for r, robot in enumerate(scene.robots):
         off = scene.robot_offsets[r]
         anchors = {1: scene.initial_states[r].to_vector()}
-        for tgt in sorted(scene.objectives.state_targets, key=lambda t: t.step):
-            if tgt.robot == r:
-                anchors[tgt.step] = tgt.value
+        anchors.update((tgt.step, tgt.value) for tgt in scene.objectives.state_targets if tgt.robot == r)
         steps = sorted(anchors)
-        for i in range(1, n + 1):
-            if i <= steps[0]:
-                row = anchors[steps[0]]
-            elif i >= steps[-1]:
-                row = anchors[steps[-1]]
-            else:
-                hi = next(s for s in steps if s >= i)
-                lo = max(s for s in steps if s <= i)
-                if lo == hi:
-                    row = anchors[lo]
-                else:
-                    f = (i - lo) / (hi - lo)
-                    row = (1.0 - f) * anchors[lo] + f * anchors[hi]
-            states[i - 1, off : off + robot.dim] = row
+        block = states[:, off : off + robot.dim]
+        block[steps[-1] - 1 :] = anchors[steps[-1]]
+        for lo, hi in zip(steps, steps[1:]):
+            f = ((np.arange(lo, hi) - lo) / (hi - lo))[:, None]
+            block[lo - 1 : hi - 1] = (1.0 - f) * anchors[lo] + f * anchors[hi]
+            block[lo - 1] = anchors[lo]
     return Trajectory(states, scene.h)
 
 
-def solve(
-    scene: Scene,
-    initial: Optional[Trajectory] = None,
-    settings: Optional[OuterSettings] = None,
-) -> tuple[Trajectory, SolveReport]:
-    """Damped Newton with backtracking line search over the stacked trajectory.
+def solve(scene: Scene, initial: Optional[Trajectory] = None) -> tuple[Trajectory, SolveReport]:
+    """Damped Newton with backtracking line search over the stacked trajectory, under scene.outer's settings.
 
-    Every evaluation recomputes the broad-phase pair set, so the objective is
-    exact and accepted steps never increase it. Damping follows a trust-region
-    policy driven by the accepted step length. A line-search trial whose
+    To cap a solve, set scene.outer. Every evaluation recomputes the
+    broad-phase pair set, so the objective is exact and accepted steps never
+    increase it. Damping follows a trust-region policy driven by the accepted
+    step length. A line-search trial whose
     smoothness + goal + limit terms alone exceed the Armijo bound is rejected
     before it is placed (_line_search_trial): the collision term is
     non-negative, so it could not pass. A trial whose partial sum plus its
@@ -961,7 +950,7 @@ def solve(
     solved once, by its trial: the derivative evaluation at accepted states
     and the report read that trial's solutions.
     """
-    s = settings or scene.outer
+    s = scene.outer
     traj = initial if initial is not None else default_trajectory(scene)
     states = traj.states.copy()
     if states.shape != (scene.num_steps, scene.dim_total):
@@ -998,7 +987,7 @@ def solve(
             slope, failure = math.nan, "damping_overflow"
             if finite:
                 try:
-                    direction = solveh_banded(_to_banded(acc.band, lam), -grad_flat, lower=False)
+                    direction = solveh_banded(_to_banded(acc.band, lam), -grad_flat)
                 except np.linalg.LinAlgError:
                     pass
                 else:
@@ -1095,7 +1084,7 @@ class ValidationReport:
 
 
 def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
-    """Post-hoc audit: certified clearances for every pair, plus all limit values.
+    """Post-hoc audit: certified clearances for every pair, plus every limit violation.
 
     Every candidate pair at every step is a cold lane of one _Lanes, solved
     by _Lanes.solve. certify_lanes turns the t* of each of its (La, Lb)
@@ -1104,7 +1093,9 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
     (up to rounding), converged or not. A clearance is the bound's square
     root minus one margin, then the other. A step's minimum is its first
     lowest clearance in pair order, or its first NaN one, and every
-    clearance below 0 or NaN is a violation.
+    clearance below 0 or NaN is a violation. The limit violations are the
+    nonzero entries of _limit_excess at traj.h, the excess that the planner's
+    limit term penalizes, each with its magnitude as the amount.
     """
     if traj.states.shape[1] != scene.dim_total:
         raise ValueError(f"trajectory has {traj.states.shape[1]} columns, the scene {scene.dim_total}")
@@ -1129,15 +1120,13 @@ def validate(scene: Scene, traj: Trajectory) -> ValidationReport:
         ClearanceRecord(i + 1, (refs[pairs[c][0]].name, refs[pairs[c][1]].name), value)
         for i, c, value in zip(lanes.step[bad].tolist(), lanes.slot[bad].tolist(), clearance[bad].tolist())
     ]
-    # The planner's stencil values over traj.h; each entry outside its bounds,
-    # keyed by (step, column, order): step, then robot and coordinate, then order.
+    # The planner's limit excess over traj.h; each nonzero entry, keyed by
+    # (step, column, order): step, then robot and coordinate, then order.
     entries = []
-    for order, (columns, lower, upper, names) in enumerate(scene._limit_index):
-        v = _stencil_values(traj.states, order, columns, traj.h)
-        i, k = np.nonzero((v > upper) | (v < lower))
-        over = np.maximum(v[i, k] - upper[k], lower[k] - v[i, k])
-        for step, c, amount in zip((i + order).tolist(), k.tolist(), over.tolist()):
-            entries.append((step, columns[c], order, names[c], amount))
+    for order, columns, labels, e in _limit_excess(scene, traj.states, traj.h):
+        k, i = np.nonzero(e)
+        for step, c, amount in zip((i + order).tolist(), k.tolist(), np.abs(e[k, i]).tolist()):
+            entries.append((step, columns[c], order, labels[c], amount))
     entries.sort(key=lambda entry: entry[:3])
     limit_viols = [
         LimitViolation(step + 1, scene.robots[r].name, label, amount) for step, _, _, (r, label), amount in entries

@@ -159,6 +159,51 @@ def test_plan_nonconvergence_exit_code(tmp_path):
     assert out.exists()
 
 
+def test_plan_with_a_failed_inner_solve_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["plan", _scene_path("two_box_swap"), "-o", str(out), "--set", "settings.inner_max_iters=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: inner solve failed for pair a_box:b_box at step 13\n"
+    assert not out.exists() and not (tmp_path / "t.csv.report.json").exists()
+
+
+@pytest.mark.parametrize("output", ["missing/t.csv", "."])
+def test_plan_to_an_unwritable_output_is_an_input_error(tmp_path, capsys, output):
+    # a missing directory or a directory: found when the solved plan is written
+    code = main(["plan", _scene_path("minimal"), "-o", str(tmp_path / output)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "required: command"),
+        (["plan", _scene_path("minimal")], "required: -o/--output"),
+        (["plan", _scene_path("minimal"), "-o", "t.csv", "--format", "yaml"], "argument --format"),
+        (["bench", "pairs", "--reps", "0"], "argument --reps: must be finite and >= 1, got '0'"),
+        (["bench", "pairs", "--reps", "-5"], "argument --reps: must be finite and >= 1, got '-5'"),
+        (["bench", "pairs", "--seed", "-1"], "argument --seed: must be finite and >= 0, got '-1'"),
+        (["bench", "approx", "--seed", "-1"], "argument --seed: must be finite and >= 0, got '-1'"),
+        (["bench", "approx", "--seed", "x"], "argument --seed: invalid number value: 'x'"),
+        (["gradcheck", _scene_path("minimal"), "--seed", "-1"], "argument --seed: must be finite and >= 0"),
+        (["gradcheck", _scene_path("minimal"), "--tol", "nan"], "argument --tol: must be finite and >= 0.0"),
+        (["gradcheck", _scene_path("minimal"), "--tol", "inf"], "argument --tol: must be finite and >= 0.0"),
+        (["gradcheck", _scene_path("minimal"), "--tol=-1e-3"], "argument --tol: must be finite and >= 0.0"),
+    ],
+)
+def test_usage_errors_are_input_errors(argv, named, capsys):
+    # argparse exits 2, which here means "did not converge"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("weight", ["smoothness", "collision"])
 def test_plan_with_a_non_finite_newton_system_exits_2(tmp_path, capsys, weight):
     out = tmp_path / "t.csv"

@@ -100,7 +100,8 @@ def test_mutated_scenes_load_or_raise_scene_error(name, tmp_path, capsys):
 
     for scene in rng.sample(accepted, min(PLAN_SAMPLE, len(accepted))):
         try:
-            traj, _ = solve(scene, settings=dataclasses.replace(scene.outer, max_outer_iters=PLAN_ITERS))
+            scene.outer = dataclasses.replace(scene.outer, max_outer_iters=PLAN_ITERS)
+            traj, _ = solve(scene)
         except SolveError:
             continue
         validate(scene, traj)

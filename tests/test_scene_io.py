@@ -305,7 +305,7 @@ def test_export_validates_shape_and_format():
         export_trajectory(traj, scene, "yaml")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, [1.0], True, False])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, [1.0], True, False, pytest.param(10**400, id="400_digits")])
 def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
     # (path to the array in arm7_box, the array with one bad entry, what the error names)
     cases = [
@@ -352,6 +352,11 @@ def test_array_fields_reject_non_finite_and_non_numeric_entries(bad):
         ("minimal", ("weights", "penalty"), 0, "weights.penalty: "),
         ("minimal", ("weights", "smoothness"), -1, "weights.smoothness: must be >= 0"),
         ("minimal", ("objectives", "state_targets", 1, "weight"), -10, "objectives.state_targets[1].weight: must be >= 0"),
+        # a 400-digit integer overflows a float
+        pytest.param(
+            "minimal", ("objectives", "state_targets", 1, "weight"), 10**400,
+            "objectives.state_targets[1].weight: must be a finite number", id="400_digit_weight",
+        ),
         ("minimal", ("settings", "pin_weight"), -1, "settings.pin_weight: must be >= 0"),
         ("minimal", ("settings", "pin_initial"), 0, "settings.pin_initial: must be a boolean"),
         ("arm7_box", ("robots", 0, "joints", 0, "limits", "velocity"), -1, "robots[0].joints[0].limits.velocity: must be >= 0"),

@@ -358,7 +358,7 @@ def test_banded_solve_in_place_is_bitwise_scipys_default(name, lam):
     ab = trajopt._to_banded(acc.band, lam)
     assert ab.flags.f_contiguous
     damped = ab.copy()
-    direction = trajopt.solveh_banded(ab, rhs, lower=False)
+    direction = trajopt.solveh_banded(ab, rhs)
     c_ordered = assembled.copy(order="C")
     c_ordered[-1] += lam
     assert c_ordered.flags.c_contiguous and np.array_equal(c_ordered, damped)
@@ -491,6 +491,61 @@ def test_default_trajectory_interpolates_targets():
     assert np.allclose(traj.states[:, 6], 1.0)
 
 
+def _per_step_default_states(scene):
+    """default_trajectory's states built one step at a time: the reference for its segment passes."""
+    n = scene.num_steps
+    states = np.empty((n, scene.dim_total))
+    for r, robot in enumerate(scene.robots):
+        off = scene.robot_offsets[r]
+        anchors = {1: scene.initial_states[r].to_vector()}
+        for tgt in sorted(scene.objectives.state_targets, key=lambda t: t.step):
+            if tgt.robot == r:
+                anchors[tgt.step] = tgt.value
+        steps = sorted(anchors)
+        for i in range(1, n + 1):
+            if i <= steps[0]:
+                row = anchors[steps[0]]
+            elif i >= steps[-1]:
+                row = anchors[steps[-1]]
+            else:
+                hi = next(s for s in steps if s >= i)
+                lo = max(s for s in steps if s <= i)
+                if lo == hi:
+                    row = anchors[lo]
+                else:
+                    f = (i - lo) / (hi - lo)
+                    row = (1.0 - f) * anchors[lo] + f * anchors[hi]
+            states[i - 1, off : off + robot.dim] = row
+    return states
+
+
+def test_default_trajectory_is_bitwise_the_per_step_interpolation():
+    # an intermediate target is a step where one segment ends and the next
+    # starts; its row is the target itself, -0.0 entries included
+    scene = _two_sphere_scene([0, 0, 0], [1, 0, 0], num_steps=9)
+    first = np.array([-0.0, 1e300, -1e-300, 0.3, -0.0, 2.0])
+    middle = np.array([-0.0, -1e300, 0.7, -0.0, 1e-300, -2.5])
+    scene.objectives.state_targets.extend([
+        StateTarget(4, 0, np.ones(6)),
+        StateTarget(4, 0, middle),  # at a repeated step the later target wins
+        StateTarget(1, 0, first),  # a target at step 1 replaces the initial state
+        StateTarget(7, 0, np.full(6, -0.0)),
+        StateTarget(2, 1, np.full(6, 3.0)),
+        StateTarget(3, 1, -np.arange(6.0)),
+    ])
+    states = default_trajectory(scene).states
+    assert states.tobytes() == _per_step_default_states(scene).tobytes()
+    assert states[3, :6].tobytes() == middle.tobytes() and states[0, :6].tobytes() == first.tobytes()
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        scene = _two_sphere_scene([0, 0, 0], [1, 0, 0], num_steps=int(rng.integers(1, 12)))
+        for _ in range(int(rng.integers(0, 6))):
+            step, robot = int(rng.integers(1, scene.num_steps + 1)), int(rng.integers(0, 2))
+            value = rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6)
+            scene.objectives.state_targets.append(StateTarget(step, robot, np.where(value > 1, -0.0, value)))
+        assert default_trajectory(scene).states.tobytes() == _per_step_default_states(scene).tobytes()
+
+
 def test_solve_unobstructed_matches_dense_quadratic_solve():
     robot = _sphere_robot("free", margin=0.1)
     start = np.zeros(6)
@@ -596,6 +651,37 @@ def test_collision_penalty_takes_one_list_of_pairs_per_step(rows):
         collision_penalty(traj, scene, [list(scene.candidate_pairs())] * rows)
 
 
+@pytest.mark.parametrize(
+    "objectives, message",
+    [
+        (Objectives(state_targets=[StateTarget(0, 0, np.zeros(6))]), "state target step 0 outside 1..3"),
+        (Objectives(state_targets=[StateTarget(2, 2, np.zeros(6))]), "state target references unknown robot 2"),
+        (Objectives(state_targets=[StateTarget(2, 1, np.zeros(5))]), "state target dimension mismatch"),
+        (Objectives(ee_targets=[EETarget(4, 0, 0, np.zeros(3), np.zeros(3))]), "ee target step 4 outside 1..3"),
+        (Objectives(ee_targets=[EETarget(2, -1, 0, np.zeros(3), np.zeros(3))]), "ee target references unknown robot -1"),
+        (Objectives(ee_targets=[EETarget(2, 1, 1, np.zeros(3), np.zeros(3))]), "ee target references unknown link 1"),
+    ],
+)
+def test_scene_rejects_a_target_it_cannot_reach(objectives, message):
+    # two bare spheres over 3 steps: robots 0 and 1, six coordinates each, and link 0 only
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        Scene(
+            robots=[_sphere_robot("a"), _sphere_robot("b")],
+            initial_states=[RobotState(Pose.identity()), RobotState(Pose.identity())],
+            objectives=objectives,
+            num_steps=3,
+        )
+
+
+def test_solve_rejects_an_initial_trajectory_of_the_wrong_shape():
+    scene = _two_sphere_scene([0, 0, 0], [1, 0, 0], num_steps=3)
+    for shape in ((2, 12), (3, 6)):
+        with pytest.raises(ValueError, match="^initial trajectory dimensions do not match the scene"):
+            solve(scene, initial=Trajectory(np.zeros(shape), scene.h))
+    with pytest.raises(ValueError, match="^trajectory requires N >= 1"):
+        Trajectory(np.zeros((0, 12)), scene.h)
+
+
 def test_validate_empty_scene():
     scene = Scene(
         robots=[_sphere_robot("only")],
@@ -609,7 +695,8 @@ def test_validate_empty_scene():
 
 def test_solve_respects_max_iters():
     scene = load_scene(scene_text("two_box_swap"))
-    traj, report = solve(scene, settings=OuterSettings(max_outer_iters=1))
+    scene.outer = OuterSettings(max_outer_iters=1)
+    traj, report = solve(scene)
     assert not report.converged
     assert report.reason == "max_iters"
     assert report.num_iterations == 1
